@@ -1,6 +1,6 @@
 //! The analyze-hot-path trajectory bench: fused single-pass, index-based
 //! analysis ([`Analyzer::analyze_fused`]) vs the seed two-scan,
-//! address-keyed pipeline ([`Analyzer::analyze_ref`]) over the Tiny
+//! address-keyed pipeline (`hbbp_oracle::analyze_ref`) over the Tiny
 //! training suite's recordings, plus the IP→block lookup layer on its own.
 //!
 //! Besides the usual `bench: … ns/iter` lines, a run writes
@@ -65,9 +65,7 @@ fn bench_pipeline(c: &mut Criterion, cases: &[Case]) {
         b.iter(|| {
             let mut total = 0.0;
             for case in cases {
-                total += case
-                    .analyzer
-                    .analyze_ref(&case.data, case.periods, &rule)
+                total += hbbp_oracle::analyze_ref(&case.analyzer, &case.data, case.periods, &rule)
                     .hbbp
                     .bbec
                     .total();
@@ -93,8 +91,7 @@ fn bench_pipeline(c: &mut Criterion, cases: &[Case]) {
 
     // The lookup layer on its own, on the EBS estimator's actual access
     // pattern (the eventing IPs of one recording, in arrival order): the
-    // seed whole-map binary search vs the page-indexed lookup vs a
-    // locality cursor.
+    // seed whole-map binary search vs the page-indexed lookup.
     let ips: Vec<(usize, u64)> = cases
         .iter()
         .enumerate()
@@ -110,7 +107,7 @@ fn bench_pipeline(c: &mut Criterion, cases: &[Case]) {
         b.iter(|| {
             let mut hits = 0usize;
             for &(ci, ip) in &ips {
-                if cases[ci].analyzer.map().enclosing_seed(ip).is_some() {
+                if hbbp_oracle::enclosing_seed(cases[ci].analyzer.map(), ip).is_some() {
                     hits += 1;
                 }
             }
@@ -122,18 +119,6 @@ fn bench_pipeline(c: &mut Criterion, cases: &[Case]) {
             let mut hits = 0usize;
             for &(ci, ip) in &ips {
                 if cases[ci].analyzer.map().enclosing(ip).is_some() {
-                    hits += 1;
-                }
-            }
-            black_box(hits)
-        })
-    });
-    group.bench_function("cursor_enclosing", |b| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            let mut cursors: Vec<_> = cases.iter().map(|c| c.analyzer.map().cursor()).collect();
-            for &(ci, ip) in &ips {
-                if cursors[ci].enclosing(ip).is_some() {
                     hits += 1;
                 }
             }
@@ -157,7 +142,8 @@ fn paired_speedup(cases: &[Case], rounds: u32) -> (f64, f64) {
         }
         total
     };
-    let seed_fn = |case: &Case| case.analyzer.analyze_ref(&case.data, case.periods, &rule);
+    let seed_fn =
+        |case: &Case| hbbp_oracle::analyze_ref(&case.analyzer, &case.data, case.periods, &rule);
     let fused_fn = |case: &Case| case.analyzer.analyze_fused(&case.data, case.periods, &rule);
     let mut seed = Duration::ZERO;
     let mut fused = Duration::ZERO;

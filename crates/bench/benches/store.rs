@@ -1,10 +1,10 @@
 //! The store/daemon bench: ingest round latency of `hbbpd` at
 //! 1/4/8/64/256 concurrent clients (loopback TCP, wire decode + online
 //! analysis + segment-log append per client), plus store merge and
-//! aggregate-fold cost. The headline is the event-driven daemon's
-//! **sub-linear scaling**: past the core count, additional clients cost
-//! only their fair share of each poll loop, so a 64-client round stays
-//! well under 8x an 8-client round.
+//! aggregate-fold cost. The headline checks the event-driven daemon's
+//! scaling target — past the core count, additional clients should cost
+//! only their fair share of each poll loop, so a 64-client round should
+//! stay under 8x an 8-client round — and says whether this run met it.
 //!
 //! A run writes `BENCH_store.json` to the workspace root: the timings,
 //! a derived scaling block, and the deterministic per-client stream
@@ -409,11 +409,16 @@ fn instrumentation_block(r: &InstrumentationReport) -> String {
         r.overhead_pct,
         json_escape(&format!(
             "the live registry costs {:.2}% of an 8-client ingest round \
-             ({:.2}ms vs {:.2}ms, min-of-{} estimator) — under the {}% pin",
+             ({:.2}ms vs {:.2}ms, min-of-{} estimator) — {} the {}% pin",
             r.overhead_pct,
             r.round_on_ns / 1e6,
             r.round_off_ns / 1e6,
             r.rounds,
+            if r.overhead_pct <= OVERHEAD_THRESHOLD_PCT {
+                "under"
+            } else {
+                "over"
+            },
             OVERHEAD_THRESHOLD_PCT,
         ))
     )
@@ -500,13 +505,19 @@ fn scaling_block(c: &Criterion) -> Option<String> {
         "    \"cost_64_vs_linear_from_1\": {:.3},\n",
         r64 / (64.0 * r1)
     ));
-    out.push_str(&format!("    \"sub_linear\": {},\n", x8 < 1.0 && x64 < 1.0));
+    let sub_linear = x8 < 1.0 && x64 < 1.0;
+    out.push_str(&format!("    \"sub_linear\": {sub_linear},\n"));
     out.push_str(&format!(
         "    \"headline\": \"{}\"\n",
         json_escape(&format!(
-            "sub-linear 1->8->64: 8 clients = {:.2}ms ({:.0}% of 8x the 1-client round), \
+            "{} 1->8->64: 8 clients = {:.2}ms ({:.0}% of 8x the 1-client round), \
              64 clients = {:.2}ms ({:.0}% of 8x the 8-client round, {:.0}% of 64x the \
              1-client round); 256 clients = {:.2}ms",
+            if sub_linear {
+                "sub-linear"
+            } else {
+                "not sub-linear"
+            },
             r8 / 1e6,
             x8 * 100.0,
             r64 / 1e6,

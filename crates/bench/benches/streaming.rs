@@ -1,5 +1,7 @@
 //! The streaming-path bench: batch analysis of a materialized recording
-//! vs the online analyzer fed record by record, batch vs chunked stream
+//! vs the online analyzer fed owned records one at a time (each cloned
+//! out of the recording, as a collection session would hand it over
+//! through `RecordSink`), batch vs chunked stream
 //! decoding, and the fused zero-copy decode→analyze pass (wire bytes
 //! straight to a finished analysis, no owned records) — on the
 //! phase-switching `phased` workload. The JSON gains a
@@ -21,7 +23,7 @@ use criterion::{black_box, Criterion};
 use hbbp_bench::exp::streaming::{timeline, TimelineOutcome};
 use hbbp_bench::exp::ExpOptions;
 use hbbp_core::{Analyzer, HybridRule, OnlineAnalyzer, SamplingPeriods, Window};
-use hbbp_perf::{codec, PerfData, PerfRecord, PerfSession, StreamDecoder};
+use hbbp_perf::{codec, PerfData, PerfRecord, PerfSession, RecordSink, StreamDecoder};
 use hbbp_program::ImageView;
 use hbbp_sim::Cpu;
 use hbbp_workloads::{phased, Scale};
@@ -75,7 +77,7 @@ fn bench_streaming(c: &mut Criterion, case: &Case, quick: bool) {
         b.iter(|| {
             let mut online = OnlineAnalyzer::new(&case.analyzer, case.periods, rule.clone());
             for record in case.data.records() {
-                online.push_record(record);
+                online.record(record.clone());
             }
             let analysis = online.finish().into_analysis().expect("unwindowed");
             black_box(analysis.hbbp.bbec.total())
@@ -86,7 +88,7 @@ fn bench_streaming(c: &mut Criterion, case: &Case, quick: bool) {
             let mut online = OnlineAnalyzer::new(&case.analyzer, case.periods, rule.clone())
                 .with_window(Window::Samples(200));
             for record in case.data.records() {
-                online.push_record(record);
+                online.record(record.clone());
             }
             black_box(online.finish().windows.len())
         })
@@ -166,7 +168,7 @@ fn memory_facts(case: &Case) -> MemoryFacts {
     let mut online = OnlineAnalyzer::new(&case.analyzer, case.periods, HybridRule::paper_default())
         .with_window(Window::Samples(200));
     for record in case.data.records() {
-        online.push_record(record);
+        online.record(record.clone());
     }
     let outcome = online.finish();
     MemoryFacts {

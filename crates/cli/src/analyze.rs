@@ -1,23 +1,22 @@
-//! `hbbp analyze` — instruction mixes from a recording: batch
-//! (`Analyzer::analyze_fused`) or windowed (`OnlineAnalyzer` timelines).
+//! `hbbp analyze` — instruction mixes from a recording: one
+//! whole-recording analysis or a windowed `OnlineAnalyzer` timeline.
 //!
-//! By default the recording streams through the zero-copy fused
-//! decode→analyze path ([`StreamDecoder::decode_into`] driving
-//! [`OnlineAnalyzer::push_view`]); `--no-fused` switches to the owned
-//! record path (batch `codec::read` + `analyze_fused`, or streaming
-//! `next_record` + `push_owned` with `--window`), kept as the
-//! field-diagnosable oracle. Both produce bit-identical results.
+//! The recording streams through the zero-copy fused decode→analyze path
+//! ([`StreamDecoder::decode_into`] driving [`OnlineAnalyzer::push_view`]),
+//! with every MMAP record checked against the workload layout on the way
+//! (`stream_recording`, shared with `synth --recording` and `watch`).
 
 use crate::args::{invalid, parse_all, CliError};
 use crate::common::{analyzer_for, parse_rule, parse_window, WorkloadOptions};
 use crate::registry;
 use crate::render::{self, Format, TimelineRow};
-use hbbp_core::{Analysis, HybridRule, OnlineAnalyzer, OnlineOutcome, Window};
-use hbbp_perf::{PerfData, PerfRecord, RecordView, StreamDecoder, ViewSink};
-use hbbp_sim::EventSpec;
+use hbbp_core::{
+    Analysis, Analyzer, HybridRule, OnlineAnalyzer, OnlineOutcome, SamplingPeriods, Window,
+};
+use hbbp_perf::{PerfRecord, RecordView, StreamDecoder, ViewSink};
 use hbbp_workloads::Workload;
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Which estimate to render.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -69,9 +68,6 @@ pub struct AnalyzeOptions {
     pub top: usize,
     /// Which estimate to render.
     pub estimator: Estimator,
-    /// Ingest through the zero-copy fused decode→analyze path (default);
-    /// `--no-fused` selects the owned-record oracle path instead.
-    pub fused: bool,
 }
 
 /// Usage text for `hbbp analyze`.
@@ -79,10 +75,10 @@ pub fn usage() -> String {
     format!(
         "usage: hbbp analyze RECORDING [options]\n\
          \n\
-         Produce instruction mixes from a perf recording. Without --window this\n\
-         is one whole-recording batch analysis (Analyzer::analyze_fused); with\n\
-         --window the recording streams through the online analyzer and each\n\
-         window becomes one row of a mix timeline.\n\
+         Produce instruction mixes from a perf recording. The recording streams\n\
+         through the online analyzer: without --window this is one\n\
+         whole-recording analysis (bit-identical to Analyzer::analyze_fused);\n\
+         with --window each window becomes one row of a mix timeline.\n\
          \n\
          options:\n\
          \x20 --window samples:<n>|cycles:<n>\n\
@@ -93,8 +89,6 @@ pub fn usage() -> String {
          \x20                     which estimate to render (default hbbp)\n\
          \x20 --format text|json|csv (default text)\n\
          \x20 --top N             mnemonics to list in text/csv (default 20, 0 = all)\n\
-         \x20 --fused             zero-copy fused decode+analyze ingest (default)\n\
-         \x20 --no-fused          owned-record ingest path (the fused path's oracle)\n\
          {}\n\
          \n\
          The workload (and scale) must match what `hbbp record` ran: the\n\
@@ -116,7 +110,6 @@ impl AnalyzeOptions {
         let mut format = Format::Text;
         let mut top = 20usize;
         let mut estimator = Estimator::Hbbp;
-        let mut fused = true;
         parse_all(args, |flag, s| {
             if workload.accept(flag, s)? {
                 return Ok(Some(()));
@@ -127,8 +120,6 @@ impl AnalyzeOptions {
                 "--format" => format = Format::parse(&s.value("--format")?)?,
                 "--top" => top = s.value_parsed("--top", "a row count")?,
                 "--estimator" => estimator = Estimator::parse(&s.value("--estimator")?)?,
-                "--fused" => fused = true,
-                "--no-fused" => fused = false,
                 other if !other.starts_with("--") => {
                     if recording.replace(PathBuf::from(other)).is_some() {
                         return Err(CliError::Usage(format!(
@@ -153,7 +144,6 @@ impl AnalyzeOptions {
             format,
             top,
             estimator,
-            fused,
         })
     }
 
@@ -161,65 +151,43 @@ impl AnalyzeOptions {
     pub fn run(&self) -> Result<String, CliError> {
         let w = self.workload.build()?;
         let analyzer = analyzer_for(&w)?;
-        match (self.window, self.fused) {
-            (None, false) => {
-                let bytes = std::fs::read(&self.recording).map_err(|e| {
-                    CliError::Failed(format!("cannot read {}: {e}", self.recording.display()))
-                })?;
-                let data = hbbp_perf::codec::read(&bytes).map_err(|e| {
-                    CliError::Failed(format!(
-                        "{} is not a decodable recording: {e}",
-                        self.recording.display()
-                    ))
-                })?;
-                verify_layout(&data, &w)?;
-                let analysis = analyzer.analyze_fused(&data, self.workload.periods, &self.rule);
-                let ebs_event = EventSpec::inst_retired_prec_dist();
-                let lbr_event = EventSpec::br_inst_retired_near_taken();
-                let ebs = data.samples().filter(|s| s.event == ebs_event).count() as u64;
-                let lbr = data.samples().filter(|s| s.event == lbr_event).count() as u64;
-                Ok(self.render_whole(&analyzer, data.len() as u64, ebs, lbr, &analysis))
-            }
-            (None, true) => {
-                let outcome = self.stream_outcome(&analyzer, None, &w)?;
-                let records = outcome.records_seen;
-                let (ebs, lbr) = outcome
-                    .windows
-                    .first()
-                    .map(|win| (win.ebs_samples, win.lbr_samples))
-                    .unwrap_or((0, 0));
-                let analysis = outcome.into_analysis().expect("unwindowed run");
-                Ok(self.render_whole(&analyzer, records, ebs, lbr, &analysis))
-            }
-            (Some(window), fused) => {
-                let outcome = if fused {
-                    self.stream_outcome(&analyzer, Some(window), &w)?
-                } else {
-                    self.stream_outcome_owned(&analyzer, window, &w)?
-                };
-                let rows: Vec<TimelineRow> = outcome
-                    .windows
-                    .iter()
-                    .map(|win| TimelineRow {
-                        index: win.index as u64,
-                        start_cycles: win.start_cycles,
-                        end_cycles: win.end_cycles,
-                        ebs_samples: win.ebs_samples,
-                        lbr_samples: win.lbr_samples,
-                        mix: analyzer.mix(self.estimator.pick(&win.analysis)),
-                    })
-                    .collect();
-                Ok(render::render_timeline(&rows, self.format))
-            }
+        let outcome = stream_recording(
+            &self.recording,
+            &w,
+            &analyzer,
+            self.workload.periods,
+            &self.rule,
+            self.window,
+        )?;
+        if self.window.is_some() {
+            let rows: Vec<TimelineRow> = outcome
+                .windows
+                .iter()
+                .map(|win| TimelineRow {
+                    index: win.index as u64,
+                    start_cycles: win.start_cycles,
+                    end_cycles: win.end_cycles,
+                    ebs_samples: win.ebs_samples,
+                    lbr_samples: win.lbr_samples,
+                    mix: analyzer.mix(self.estimator.pick(&win.analysis)),
+                })
+                .collect();
+            return Ok(render::render_timeline(&rows, self.format));
         }
+        let records = outcome.records_seen;
+        let (ebs, lbr) = outcome
+            .windows
+            .first()
+            .map(|win| (win.ebs_samples, win.lbr_samples))
+            .unwrap_or((0, 0));
+        let analysis = outcome.into_analysis().expect("unwindowed run");
+        Ok(self.render_whole(&analyzer, records, ebs, lbr, &analysis))
     }
 
-    /// Render the whole-recording analysis (shared by the batch oracle
-    /// and the fused streaming path, which must print byte-identical
-    /// output for the same recording).
+    /// Render the whole-recording analysis.
     fn render_whole(
         &self,
-        analyzer: &hbbp_core::Analyzer,
+        analyzer: &Analyzer,
         records: u64,
         ebs: u64,
         lbr: u64,
@@ -251,129 +219,66 @@ impl AnalyzeOptions {
             Format::Csv => render::render_mix(&mix, self.top, Format::Csv),
         }
     }
+}
 
-    /// Stream the recording through the online analyzer on the fused
-    /// zero-copy path: file chunks feed the decoder, and
-    /// [`StreamDecoder::decode_into`] hands borrowed record views
-    /// straight to [`OnlineAnalyzer::push_view`] — no owned `PerfRecord`
-    /// is ever materialized. MMAP records are checked against the
-    /// workload layout as they stream past, exactly like the owned path.
-    fn stream_outcome(
-        &self,
-        analyzer: &hbbp_core::Analyzer,
-        window: Option<Window>,
-        w: &Workload,
-    ) -> Result<OnlineOutcome, CliError> {
-        use std::io::Read as _;
-        let file = std::fs::File::open(&self.recording).map_err(|e| {
-            CliError::Failed(format!("cannot read {}: {e}", self.recording.display()))
-        })?;
-        let mut reader = std::io::BufReader::new(file);
-        let mut online = OnlineAnalyzer::new(analyzer, self.workload.periods, self.rule.clone());
-        if let Some(window) = window {
-            online = online.with_window(window);
-        }
-        let mut sink = CheckSink {
-            online,
-            expected: expected_modules(w),
-            workload: w,
-            err: None,
-        };
-        let mut decoder = StreamDecoder::new();
-        let mut buf = vec![0u8; 64 * 1024];
-        loop {
-            let n = reader.read(&mut buf).map_err(|e| {
-                CliError::Failed(format!("cannot read {}: {e}", self.recording.display()))
-            })?;
-            if n == 0 {
-                break;
-            }
-            decoder.feed(&buf[..n]);
-            let decoded = decoder.decode_into(&mut sink);
-            if let Some(err) = sink.err.take() {
-                return Err(err);
-            }
-            decoded.map_err(|e| {
-                CliError::Failed(format!(
-                    "{} is not a decodable recording: {e}",
-                    self.recording.display()
-                ))
-            })?;
-        }
-        decoder.finish().map_err(|e| {
-            // The windowed streaming path has always blamed a truncated
-            // tail specifically; the whole-recording path mirrors the
-            // batch oracle's wording for every decode failure.
-            if window.is_some() {
-                CliError::Failed(format!("{} ends mid-record: {e}", self.recording.display()))
-            } else {
-                CliError::Failed(format!(
-                    "{} is not a decodable recording: {e}",
-                    self.recording.display()
-                ))
-            }
-        })?;
-        Ok(sink.online.finish())
+/// Stream the recording at `path` through an [`OnlineAnalyzer`] on the
+/// fused zero-copy path — file chunks feed the decoder, and
+/// [`StreamDecoder::decode_into`] hands borrowed record views straight to
+/// [`OnlineAnalyzer::push_view`] — checking every MMAP record against the
+/// workload layout as it streams past. `window` selects a timeline run;
+/// `None` is one whole-recording analysis.
+///
+/// The one checked ingest path of `analyze`, `synth --recording` and
+/// `watch`. A decode failure reads "is not a decodable recording"; a
+/// truncated tail reads "ends mid-record" for a timeline run and "is not
+/// a decodable recording" for a whole-recording run.
+pub(crate) fn stream_recording(
+    path: &Path,
+    w: &Workload,
+    analyzer: &Analyzer,
+    periods: SamplingPeriods,
+    rule: &HybridRule,
+    window: Option<Window>,
+) -> Result<OnlineOutcome, CliError> {
+    use std::io::Read as _;
+    let cannot_read =
+        |e: std::io::Error| CliError::Failed(format!("cannot read {}: {e}", path.display()));
+    let undecodable = |e: &dyn std::fmt::Display| {
+        CliError::Failed(format!(
+            "{} is not a decodable recording: {e}",
+            path.display()
+        ))
+    };
+    let mut reader = std::io::BufReader::new(std::fs::File::open(path).map_err(cannot_read)?);
+    let mut online = OnlineAnalyzer::new(analyzer, periods, rule.clone());
+    if let Some(window) = window {
+        online = online.with_window(window);
     }
-
-    /// The owned-record twin of [`stream_outcome`]: decode to
-    /// `PerfRecord`s and `push_owned` them. Kept verbatim as the
-    /// `--no-fused` oracle for the fused path.
-    ///
-    /// [`stream_outcome`]: AnalyzeOptions::stream_outcome
-    fn stream_outcome_owned(
-        &self,
-        analyzer: &hbbp_core::Analyzer,
-        window: Window,
-        w: &Workload,
-    ) -> Result<OnlineOutcome, CliError> {
-        use std::io::Read as _;
-        let file = std::fs::File::open(&self.recording).map_err(|e| {
-            CliError::Failed(format!("cannot read {}: {e}", self.recording.display()))
-        })?;
-        let mut reader = std::io::BufReader::new(file);
-        let expected = expected_modules(w);
-        let mut online = OnlineAnalyzer::new(analyzer, self.workload.periods, self.rule.clone())
-            .with_window(window);
-        let mut decoder = StreamDecoder::new();
-        let mut buf = vec![0u8; 64 * 1024];
-        loop {
-            let n = reader.read(&mut buf).map_err(|e| {
-                CliError::Failed(format!("cannot read {}: {e}", self.recording.display()))
-            })?;
-            if n == 0 {
-                break;
-            }
-            decoder.feed(&buf[..n]);
-            loop {
-                match decoder.next_record() {
-                    Ok(Some(record)) => {
-                        if let PerfRecord::Mmap {
-                            addr,
-                            len,
-                            filename,
-                            ..
-                        } = &record
-                        {
-                            check_mmap(&expected, filename, *addr, *len, w)?;
-                        }
-                        online.push_owned(record);
-                    }
-                    Ok(None) => break,
-                    Err(e) => {
-                        return Err(CliError::Failed(format!(
-                            "{} is not a decodable recording: {e}",
-                            self.recording.display()
-                        )))
-                    }
-                }
-            }
+    let mut sink = CheckSink {
+        online,
+        expected: expected_modules(w),
+        workload: w,
+        err: None,
+    };
+    let mut decoder = StreamDecoder::new();
+    let mut buf = vec![0u8; 64 * 1024];
+    loop {
+        let n = reader.read(&mut buf).map_err(cannot_read)?;
+        if n == 0 {
+            break;
         }
-        decoder.finish().map_err(|e| {
-            CliError::Failed(format!("{} ends mid-record: {e}", self.recording.display()))
-        })?;
-        Ok(online.finish())
+        decoder.feed(&buf[..n]);
+        let decoded = decoder.decode_into(&mut sink);
+        if let Some(err) = sink.err.take() {
+            return Err(err);
+        }
+        decoded.map_err(|e| undecodable(&e))?;
     }
+    decoder.finish().map_err(|e| match window {
+        Some(_) => CliError::Failed(format!("{} ends mid-record: {e}", path.display())),
+        None => undecodable(&e),
+    })?;
+    Ok(sink.online.finish())
 }
 
 /// [`ViewSink`] that verifies MMAP records against the workload layout
@@ -410,7 +315,7 @@ impl ViewSink for CheckSink<'_, '_> {
 
 /// The workload's `(module name, base, len)` spans — what every MMAP
 /// record of a matching recording must name.
-pub(crate) fn expected_modules(w: &Workload) -> Vec<(String, u64, u64)> {
+fn expected_modules(w: &Workload) -> Vec<(String, u64, u64)> {
     w.program()
         .modules()
         .iter()
@@ -424,7 +329,7 @@ pub(crate) fn expected_modules(w: &Workload) -> Vec<(String, u64, u64)> {
 /// Reject an MMAP record that names a module span the workload does not
 /// have — a mismatched `--workload`/`--scale` would silently produce an
 /// empty or wrong mix otherwise.
-pub(crate) fn check_mmap(
+fn check_mmap(
     expected: &[(String, u64, u64)],
     name: &str,
     base: u64,
@@ -444,23 +349,31 @@ pub(crate) fn check_mmap(
     )))
 }
 
-/// Check a materialized recording's memory map against the workload
-/// layout (the batch-path twin of the streaming check in
-/// [`AnalyzeOptions::windowed_rows`]).
-pub(crate) fn verify_layout(data: &PerfData, w: &Workload) -> Result<(), CliError> {
-    let expected = expected_modules(w);
-    for (name, base, len) in data.mmaps() {
-        check_mmap(&expected, name, base, len, w)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn raw(args: &[&str]) -> Vec<String> {
+    pub(crate) fn raw(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    /// A `phased` recording in a fresh temp directory named after `tag`:
+    /// the input of every command's wrong-workload check. Returns the
+    /// directory (for cleanup) and the recording path.
+    pub(crate) fn phased_recording(tag: &str) -> (PathBuf, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("hbbp-cli-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("p.bin");
+        crate::record::RecordOptions::parse(&raw(&[
+            "--workload",
+            "phased",
+            "--out",
+            path.to_str().unwrap(),
+        ]))
+        .unwrap()
+        .run()
+        .unwrap();
+        (dir, path)
     }
 
     #[test]
@@ -484,27 +397,10 @@ mod tests {
 
     #[test]
     fn wrong_workload_is_detected_in_both_batch_and_windowed_modes() {
-        // Record phased, analyze as test40: the mmap check must fire in
-        // every ingest mode — fused and owned, whole-recording and
-        // windowed.
-        let dir = std::env::temp_dir().join(format!("hbbp-cli-mismatch-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("p.bin");
-        crate::record::RecordOptions::parse(&raw(&[
-            "--workload",
-            "phased",
-            "--out",
-            path.to_str().unwrap(),
-        ]))
-        .unwrap()
-        .run()
-        .unwrap();
-        for extra in [
-            &[][..],
-            &["--window", "samples:100"][..],
-            &["--no-fused"][..],
-            &["--window", "samples:100", "--no-fused"][..],
-        ] {
+        // Record phased, analyze as test40: the mmap check must fire for
+        // a whole-recording and a windowed run alike.
+        let (dir, path) = phased_recording("analyze-mismatch");
+        for extra in [&[][..], &["--window", "samples:100"][..]] {
             let mut argv = vec![path.to_str().unwrap(), "--workload", "test40"];
             argv.extend_from_slice(extra);
             let err = AnalyzeOptions::parse(&raw(&argv))

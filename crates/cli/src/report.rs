@@ -133,7 +133,6 @@ impl ReportOptions {
                     format: self.format,
                     top: self.top,
                     estimator: Default::default(),
-                    fused: true,
                 };
                 opts.run()
             }

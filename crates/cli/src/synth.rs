@@ -14,20 +14,20 @@
 //! spec is reproducible: the same spec + seed replays to a byte-identical
 //! recording without re-solving.
 
-use crate::analyze::{check_mmap, expected_modules, verify_layout};
+use crate::analyze::stream_recording;
 use crate::args::{parse_all, CliError};
 use crate::common::{analyzer_for, parse_rule, parse_window_flag, WorkloadOptions};
 use crate::registry;
 use crate::render::{json_f64, mix_json_entries, Format};
-use hbbp_core::{Analyzer, HybridRule, OnlineAnalyzer, SamplingPeriods, Window};
-use hbbp_perf::{PerfRecord, PerfSession, RecordView, StreamDecoder, ViewSink};
+use hbbp_core::{Analyzer, HybridRule, SamplingPeriods, Window};
+use hbbp_perf::PerfSession;
 use hbbp_program::{ImageView, MnemonicMix};
 use hbbp_sim::Cpu;
 use hbbp_store::{ProfileStore, StoreClient, StoreIdentity};
 use hbbp_workloads::{calibrate, compile, Calibration, CalibratorConfig, SynthSpec, Workload};
 use std::fmt::Write as _;
 use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Where the target mix comes from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -254,69 +254,40 @@ impl SynthOptions {
         }
     }
 
-    fn recording_target(&self, path: &PathBuf) -> Result<(MnemonicMix, String), CliError> {
+    fn recording_target(&self, path: &Path) -> Result<(MnemonicMix, String), CliError> {
         let w = self.workload.build()?;
         let analyzer = analyzer_for(&w)?;
-        let bytes = std::fs::read(path)
-            .map_err(|e| CliError::Failed(format!("cannot read {}: {e}", path.display())))?;
-        match self.window {
-            None => {
-                let data = hbbp_perf::codec::read(&bytes).map_err(|e| {
-                    CliError::Failed(format!(
-                        "{} is not a decodable recording: {e}",
-                        path.display()
-                    ))
-                })?;
-                verify_layout(&data, &w)?;
-                let analysis = analyzer.analyze_fused(&data, self.workload.periods, &self.rule);
-                let mix = analyzer.mix(&analysis.hbbp.bbec);
-                Ok((mix, format!("recording {} (whole run)", path.display())))
-            }
-            Some(n) => {
-                let online =
-                    OnlineAnalyzer::new(&analyzer, self.workload.periods, self.rule.clone())
-                        .with_window(self.window_size);
-                let mut sink = SynthSink {
-                    online,
-                    expected: expected_modules(&w),
-                    workload: &w,
-                    err: None,
-                };
-                let mut decoder = StreamDecoder::new();
-                decoder.feed(&bytes);
-                let decoded = decoder.decode_into(&mut sink);
-                if let Some(err) = sink.err.take() {
-                    return Err(err);
-                }
-                decoded.map_err(|e| {
-                    CliError::Failed(format!(
-                        "{} is not a decodable recording: {e}",
-                        path.display()
-                    ))
-                })?;
-                decoder.finish().map_err(|e| {
-                    CliError::Failed(format!("{} ends mid-record: {e}", path.display()))
-                })?;
-                let outcome = sink.online.finish();
-                let total = outcome.windows.len();
-                let win = outcome.windows.into_iter().nth(n).ok_or_else(|| {
-                    CliError::Failed(format!(
-                        "{} has {total} timeline windows at {:?}; --window {n} is out of range",
-                        path.display(),
-                        self.window_size
-                    ))
-                })?;
-                Ok((
-                    win.mix,
-                    format!(
-                        "recording {} window {n} [{}..{} cycles]",
-                        path.display(),
-                        win.start_cycles,
-                        win.end_cycles
-                    ),
-                ))
-            }
-        }
+        let window = self.window.map(|_| self.window_size);
+        let outcome = stream_recording(
+            path,
+            &w,
+            &analyzer,
+            self.workload.periods,
+            &self.rule,
+            window,
+        )?;
+        let Some(n) = self.window else {
+            let analysis = outcome.into_analysis().expect("unwindowed run");
+            let mix = analyzer.mix(&analysis.hbbp.bbec);
+            return Ok((mix, format!("recording {} (whole run)", path.display())));
+        };
+        let total = outcome.windows.len();
+        let win = outcome.windows.into_iter().nth(n).ok_or_else(|| {
+            CliError::Failed(format!(
+                "{} has {total} timeline windows at {:?}; --window {n} is out of range",
+                path.display(),
+                self.window_size
+            ))
+        })?;
+        Ok((
+            win.mix,
+            format!(
+                "recording {} window {n} [{}..{} cycles]",
+                path.display(),
+                win.start_cycles,
+                win.end_cycles
+            ),
+        ))
     }
 
     fn store_target(&self, path: &PathBuf) -> Result<(MnemonicMix, String), CliError> {
@@ -557,42 +528,34 @@ fn render_json(
     )
 }
 
-/// [`ViewSink`] feeding a recording's views into the windowed analyzer
-/// after the same MMAP-against-layout check `hbbp analyze` performs.
-struct SynthSink<'s, 'a> {
-    online: OnlineAnalyzer<'a>,
-    expected: Vec<(String, u64, u64)>,
-    workload: &'s Workload,
-    err: Option<CliError>,
-}
-
-impl ViewSink for SynthSink<'_, '_> {
-    fn view(&mut self, view: &RecordView<'_>) {
-        if self.err.is_some() {
-            return;
-        }
-        if let RecordView::Other(PerfRecord::Mmap {
-            addr,
-            len,
-            filename,
-            ..
-        }) = view
-        {
-            if let Err(e) = check_mmap(&self.expected, filename, *addr, *len, self.workload) {
-                self.err = Some(e);
-                return;
-            }
-        }
-        self.online.push_view(view);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::tests::{phased_recording, raw};
 
-    fn raw(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| (*s).to_owned()).collect()
+    #[test]
+    fn wrong_workload_recording_is_rejected() {
+        // A phased recording read as test40: the shared mmap check fires
+        // for the whole-run and the windowed target alike.
+        let (dir, path) = phased_recording("synth-mismatch");
+        for extra in [&[][..], &["--window", "0"][..]] {
+            let mut argv = vec![
+                "--recording",
+                path.to_str().unwrap(),
+                "--workload",
+                "test40",
+            ];
+            argv.extend_from_slice(extra);
+            let err = SynthOptions::parse(&raw(&argv))
+                .unwrap()
+                .target()
+                .unwrap_err();
+            assert!(
+                err.to_string().contains("wrong --workload or --scale?"),
+                "mode {extra:?}: {err}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

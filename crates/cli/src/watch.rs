@@ -10,12 +10,11 @@
 //! exceeds `--tolerance` prints a `DRIFT` line. A replayed baseline
 //! stays quiet; an injected phase shift is flagged.
 
-use crate::analyze::{check_mmap, expected_modules};
+use crate::analyze::stream_recording;
 use crate::args::{parse_all, CliError};
 use crate::common::{analyzer_for, parse_rule, parse_window, WorkloadOptions};
 use crate::registry;
-use hbbp_core::{HybridRule, MixDrift, OnlineAnalyzer, Window};
-use hbbp_perf::{PerfRecord, RecordView, StreamDecoder, ViewSink};
+use hbbp_core::{HybridRule, MixDrift, Window};
 use hbbp_program::MnemonicMix;
 use hbbp_store::{ProfileStore, StoreIdentity};
 use hbbp_workloads::Workload;
@@ -166,48 +165,17 @@ impl WatchOptions {
 
     /// Execute: returns the watch report (`DRIFT` lines + summary).
     pub fn run(&self) -> Result<String, CliError> {
-        use std::io::Read as _;
         let w = self.workload.build()?;
         let analyzer = analyzer_for(&w)?;
         let (epoch, baseline) = self.baseline_mix(&analyzer, &w)?;
-
-        let file = std::fs::File::open(&self.recording).map_err(|e| {
-            CliError::Failed(format!("cannot read {}: {e}", self.recording.display()))
-        })?;
-        let mut reader = std::io::BufReader::new(file);
-        let online = OnlineAnalyzer::new(&analyzer, self.workload.periods, self.rule.clone())
-            .with_window(self.window);
-        let mut sink = WatchSink {
-            online,
-            expected: expected_modules(&w),
-            workload: &w,
-            err: None,
-        };
-        let mut decoder = StreamDecoder::new();
-        let mut buf = vec![0u8; 64 * 1024];
-        loop {
-            let n = reader.read(&mut buf).map_err(|e| {
-                CliError::Failed(format!("cannot read {}: {e}", self.recording.display()))
-            })?;
-            if n == 0 {
-                break;
-            }
-            decoder.feed(&buf[..n]);
-            let decoded = decoder.decode_into(&mut sink);
-            if let Some(err) = sink.err.take() {
-                return Err(err);
-            }
-            decoded.map_err(|e| {
-                CliError::Failed(format!(
-                    "{} is not a decodable recording: {e}",
-                    self.recording.display()
-                ))
-            })?;
-        }
-        decoder.finish().map_err(|e| {
-            CliError::Failed(format!("{} ends mid-record: {e}", self.recording.display()))
-        })?;
-        let outcome = sink.online.finish();
+        let outcome = stream_recording(
+            &self.recording,
+            &w,
+            &analyzer,
+            self.workload.periods,
+            &self.rule,
+            Some(self.window),
+        )?;
 
         let mut out = String::new();
         let mut flagged = 0usize;
@@ -242,42 +210,38 @@ impl WatchOptions {
     }
 }
 
-/// [`ViewSink`] forwarding views into the windowed analyzer after the
-/// same MMAP-against-layout check `hbbp analyze` performs.
-struct WatchSink<'s, 'a> {
-    online: OnlineAnalyzer<'a>,
-    expected: Vec<(String, u64, u64)>,
-    workload: &'s Workload,
-    err: Option<CliError>,
-}
-
-impl ViewSink for WatchSink<'_, '_> {
-    fn view(&mut self, view: &RecordView<'_>) {
-        if self.err.is_some() {
-            return;
-        }
-        if let RecordView::Other(PerfRecord::Mmap {
-            addr,
-            len,
-            filename,
-            ..
-        }) = view
-        {
-            if let Err(e) = check_mmap(&self.expected, filename, *addr, *len, self.workload) {
-                self.err = Some(e);
-                return;
-            }
-        }
-        self.online.push_view(view);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::tests::{phased_recording, raw};
 
-    fn raw(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| (*s).to_owned()).collect()
+    #[test]
+    fn wrong_workload_recording_is_rejected() {
+        // A test40 baseline (so the store identity check passes) watched
+        // with a phased recording: the shared mmap check must fire.
+        let (dir, path) = phased_recording("watch-mismatch");
+        let store_path = dir.join("test40.hbbp");
+        let opts = WatchOptions::parse(&raw(&[
+            path.to_str().unwrap(),
+            "--baseline",
+            store_path.to_str().unwrap(),
+            "--workload",
+            "test40",
+        ]))
+        .unwrap();
+        let w = opts.workload.build().unwrap();
+        let identity = StoreIdentity::of_workload(&w, analyzer_for(&w).unwrap().map());
+        ProfileStore::open_with_identity(&store_path, identity)
+            .unwrap()
+            .append_counts(0, 1, 1, hbbp_program::Bbec::new())
+            .unwrap();
+        let err = opts.run().unwrap_err();
+        assert!(
+            err.to_string().contains("wrong --workload or --scale?"),
+            "{err}"
+        );
+        assert!(err.to_string().contains("recording maps module"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

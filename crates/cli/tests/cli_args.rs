@@ -191,30 +191,15 @@ const MATRIX: &[Case] = &[
         want: Want::Err("invalid value `sometimes` for --rule"),
     },
     Case {
+        // One ingest path: the old fused/owned toggles are gone.
         command: "analyze",
         args: &["p.bin", "--fused"],
-        want: Want::Ok,
+        want: Want::Err("unknown flag `--fused`"),
     },
     Case {
         command: "analyze",
         args: &["p.bin", "--no-fused", "--window", "samples:100"],
-        want: Want::Ok,
-    },
-    Case {
-        // The pair is order-insensitive: the last one wins, both parse.
-        command: "analyze",
-        args: &["p.bin", "--no-fused", "--fused"],
-        want: Want::Ok,
-    },
-    Case {
-        command: "analyze",
-        args: &["p.bin", "--fused=yes"],
-        want: Want::Err("flag --fused takes no value (got `yes`)"),
-    },
-    Case {
-        command: "analyze",
-        args: &["p.bin", "--no-fused=1"],
-        want: Want::Err("flag --no-fused takes no value (got `1`)"),
+        want: Want::Err("unknown flag `--no-fused`"),
     },
     Case {
         command: "analyze",
@@ -720,15 +705,19 @@ fn flag_matrix() {
 }
 
 #[test]
-fn fused_defaults_on_and_last_toggle_wins() {
-    let parse = |args: &[&str]| {
-        let args: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
-        analyze::AnalyzeOptions::parse(&args).unwrap()
-    };
-    assert!(parse(&["p.bin"]).fused);
-    assert!(!parse(&["p.bin", "--no-fused"]).fused);
-    assert!(parse(&["p.bin", "--no-fused", "--fused"]).fused);
-    assert!(!parse(&["p.bin", "--fused", "--no-fused"]).fused);
+fn fused_toggles_are_unknown_flags() {
+    // `hbbp analyze X --fused` / `--no-fused` end in a usage error (exit
+    // 2) before the recording is even opened.
+    for flag in ["--fused", "--no-fused"] {
+        let args: Vec<String> = ["analyze", "missing.bin", flag]
+            .iter()
+            .map(|s| (*s).to_owned())
+            .collect();
+        assert_eq!(hbbp_cli::main_impl(&args), 2, "{flag}");
+        let err = analyze::AnalyzeOptions::parse(&args[1..]).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{flag}: {err:?}");
+        assert_eq!(err.to_string(), format!("unknown flag `{flag}`"));
+    }
 }
 
 #[test]

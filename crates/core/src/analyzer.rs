@@ -92,27 +92,14 @@ impl Analyzer {
         &self.lbr_options
     }
 
-    /// Run all three estimators over a recording.
-    ///
-    /// Thin wrapper over [`Analyzer::analyze_fused`]; results are
-    /// identical.
-    pub fn analyze(
-        &self,
-        data: &PerfData,
-        periods: SamplingPeriods,
-        rule: &HybridRule,
-    ) -> Analysis {
-        self.analyze_fused(data, periods, rule)
-    }
-
     /// Run all three estimators in a **single pass** over the recording:
     /// each sample record is dispatched once to the EBS or LBR accumulator
     /// by event, instead of the seed's two independent full scans with
     /// per-event filtering. Estimation itself runs in block-index
-    /// coordinates (dense tables + locality cursors).
+    /// coordinates (dense tables + page-indexed block lookups).
     ///
-    /// Produces results bit-identical to [`Analyzer::analyze_ref`] (the
-    /// per-event sample order is exactly what the per-event scans see).
+    /// Pinned bit-identical to the seed two-scan, address-keyed pipeline
+    /// (`hbbp_oracle::analyze_ref`) by `crates/core/tests/dense_equivalence.rs`.
     pub fn analyze_fused(
         &self,
         data: &PerfData,
@@ -133,22 +120,6 @@ impl Analyzer {
         let ebs = ebs_acc.finish();
         let lbr = lbr_acc.finish();
         let hbbp = hybrid::combine(&self.map, &ebs, &lbr, rule);
-        Analysis { ebs, lbr, hbbp }
-    }
-
-    /// The seed analysis pipeline: two independent full scans of the
-    /// recording through the address-keyed reference estimators. Kept for
-    /// equivalence property tests and the `BENCH_pipeline.json` perf
-    /// trajectory; produces results identical to [`Analyzer::analyze`].
-    pub fn analyze_ref(
-        &self,
-        data: &PerfData,
-        periods: SamplingPeriods,
-        rule: &HybridRule,
-    ) -> Analysis {
-        let ebs = ebs::estimate_ref(data, &self.map, periods.ebs);
-        let lbr = lbr::estimate_ref(data, &self.map, periods.lbr, &self.lbr_options);
-        let hbbp = hybrid::combine_ref(&self.map, &ebs, &lbr, rule);
         Analysis { ebs, lbr, hbbp }
     }
 

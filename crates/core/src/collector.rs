@@ -155,7 +155,7 @@ impl HbbpProfiler {
         let analyzer = Analyzer::from_images(&disk, workload.layout().symbols())?;
 
         // 4. Analysis: EBS, LBR and HBBP estimates.
-        let analysis = analyzer.analyze(&recording.data, periods, &self.rule);
+        let analysis = analyzer.analyze_fused(&recording.data, periods, &self.rule);
         Ok(ProfileResult {
             periods,
             clean,

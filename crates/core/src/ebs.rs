@@ -5,15 +5,13 @@
 //! must then divide the number of samples recorded for a basic block by
 //! the instruction length of that block."
 //!
-//! The production path ([`estimate`] / the crate-internal `EbsAccum`) works in the block
-//! **index** coordinate system: raw sample tallies live in a plain vector
-//! indexed by [`BlockMap`] block index and IPs resolve through a
-//! [`hbbp_program::BlockCursor`], so the hot loop performs no hashing.
-//! [`estimate_ref`] preserves the original address-keyed implementation as
-//! the equivalence/benchmark reference.
+//! Estimation works in the block **index** coordinate system: raw sample
+//! tallies live in a plain vector indexed by [`BlockMap`] block index and
+//! IPs resolve through the map's page-indexed [`BlockMap::enclosing`], so
+//! the hot loop performs no hashing.
 
 use hbbp_perf::{PerfData, PerfSample};
-use hbbp_program::{Bbec, BlockCursor, BlockMap, DenseBbec};
+use hbbp_program::{Bbec, BlockMap, DenseBbec};
 use hbbp_sim::EventSpec;
 use std::collections::HashMap;
 
@@ -56,7 +54,6 @@ impl EbsEstimate {
 #[derive(Debug, Clone)]
 pub(crate) struct EbsAccum<'m> {
     map: &'m BlockMap,
-    cursor: BlockCursor<'m>,
     samples: Vec<u64>,
     used: u64,
     unmapped: u64,
@@ -67,7 +64,6 @@ impl<'m> EbsAccum<'m> {
     pub(crate) fn new(map: &'m BlockMap, period: u64) -> EbsAccum<'m> {
         EbsAccum {
             map,
-            cursor: map.cursor(),
             samples: vec![0; map.len()],
             used: 0,
             unmapped: 0,
@@ -84,7 +80,7 @@ impl<'m> EbsAccum<'m> {
     /// [`observe`](EbsAccum::observe) without the sample wrapper — the
     /// zero-copy view path has no `PerfSample` to hand over.
     pub(crate) fn observe_ip(&mut self, ip: u64) {
-        match self.cursor.enclosing(ip) {
+        match self.map.enclosing(ip) {
             Some(bi) => {
                 self.samples[bi] += 1;
                 self.used += 1;
@@ -116,7 +112,7 @@ impl<'m> EbsAccum<'m> {
             dense.set(bi, value);
             // Built directly (not via `to_bbec`) so a sampled block keeps
             // its entry even when a degenerate period of 0 zeroes the
-            // value — exactly what the seed implementation produces.
+            // value, like the address-keyed reference does.
             bbec.set(block.start, value);
         }
         let estimate = EbsEstimate {
@@ -143,42 +139,6 @@ pub fn estimate(data: &PerfData, map: &BlockMap, period: u64) -> EbsEstimate {
         acc.observe(sample);
     }
     acc.finish()
-}
-
-/// The seed address-keyed implementation of [`estimate`], kept as the
-/// reference for equivalence property tests and the `BENCH_pipeline.json`
-/// perf trajectory. Produces bit-identical results; lookups go through the
-/// seed's whole-map binary search ([`BlockMap::enclosing_seed`]), so this
-/// measures the true pre-index baseline.
-pub fn estimate_ref(data: &PerfData, map: &BlockMap, period: u64) -> EbsEstimate {
-    let event = EventSpec::inst_retired_prec_dist();
-    let mut samples_per_block: HashMap<u64, u64> = HashMap::new();
-    let mut used = 0u64;
-    let mut unmapped = 0u64;
-    for sample in data.samples_of(event) {
-        match map.enclosing_seed(sample.ip) {
-            Some(bi) => {
-                *samples_per_block.entry(map.blocks()[bi].start).or_insert(0) += 1;
-                used += 1;
-            }
-            None => unmapped += 1,
-        }
-    }
-    let mut bbec = Bbec::new();
-    for (&start, &n) in &samples_per_block {
-        let bi = map.at_start(start).expect("block exists");
-        let len = map.blocks()[bi].len().max(1) as f64;
-        bbec.set(start, n as f64 * period as f64 / len);
-    }
-    let dense = DenseBbec::from_bbec(&bbec, map);
-    EbsEstimate {
-        bbec,
-        dense,
-        samples_per_block,
-        samples_used: used,
-        samples_unmapped: unmapped,
-        period,
-    }
 }
 
 #[cfg(test)]
@@ -273,23 +233,5 @@ mod tests {
         let est = estimate(&PerfData::new(), &map, 100);
         assert!(est.bbec.is_empty());
         assert_eq!(est.samples_used + est.samples_unmapped, 0);
-    }
-
-    #[test]
-    fn index_and_reference_paths_agree() {
-        let (map, b0_start, mid_ip) = map_fixture();
-        let mut data = PerfData::new();
-        for ip in [b0_start, mid_ip, 0xdead_beef, b0_start, mid_ip + 2] {
-            data.push(sample_at(ip));
-        }
-        let fast = estimate(&data, &map, 733);
-        let seed = estimate_ref(&data, &map, 733);
-        assert_eq!(fast.bbec, seed.bbec);
-        assert_eq!(fast.dense, seed.dense);
-        assert_eq!(fast.samples_per_block, seed.samples_per_block);
-        assert_eq!(fast.samples_used, seed.samples_used);
-        assert_eq!(fast.samples_unmapped, seed.samples_unmapped);
-        let bi = map.at_start(b0_start).unwrap();
-        assert_eq!(fast.count_idx(bi), fast.count(b0_start));
     }
 }

@@ -80,8 +80,8 @@ impl HybridRule {
     /// the full feature vector only when the rule actually consumes it (a
     /// tree). The cutoff and ablation rules read nothing but the block
     /// length, so the hot combine loop skips the per-instruction latency
-    /// scan for them. Same result as `choose(&extract(..))` for every
-    /// rule.
+    /// scan for them. Same result as `choose(&extract_indexed(..))` for
+    /// every rule.
     fn choose_indexed(
         &self,
         block: &hbbp_program::StaticBlock,
@@ -163,8 +163,7 @@ impl HbbpEstimate {
 ///
 /// Works entirely in block-index coordinates: per-block counts and bias
 /// flags come from the estimates' dense tables, so the per-block loop does
-/// no hashing or tree walks. [`combine_ref`] keeps the seed address-keyed
-/// version for equivalence testing.
+/// no hashing or tree walks.
 pub fn combine(
     map: &BlockMap,
     ebs: &EbsEstimate,
@@ -191,42 +190,6 @@ pub fn combine(
     }
     HbbpEstimate {
         bbec: dense.to_bbec(map),
-        dense,
-        choices,
-    }
-}
-
-/// The seed address-keyed implementation of [`combine`], kept as the
-/// reference for equivalence property tests and the `BENCH_pipeline.json`
-/// perf trajectory. Produces bit-identical results.
-pub fn combine_ref(
-    map: &BlockMap,
-    ebs: &EbsEstimate,
-    lbr: &LbrEstimate,
-    rule: &HybridRule,
-) -> HbbpEstimate {
-    let mut bbec = Bbec::new();
-    let mut choices = HashMap::new();
-    for block in map.blocks() {
-        let e = ebs.count(block.start);
-        let l = lbr.count(block.start);
-        if e == 0.0 && l == 0.0 {
-            continue;
-        }
-        let features = BlockFeatures::extract(block, ebs, lbr);
-        let choice = rule.choose(&features);
-        let value = match choice {
-            Choice::Ebs => e,
-            Choice::Lbr => l,
-        };
-        choices.insert(block.start, choice);
-        if value > 0.0 {
-            bbec.set(block.start, value);
-        }
-    }
-    let dense = DenseBbec::from_bbec(&bbec, map);
-    HbbpEstimate {
-        bbec,
         dense,
         choices,
     }

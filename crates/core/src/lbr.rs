@@ -6,19 +6,15 @@
 //! disproportionately (their terminating streams are structurally dropped)
 //! and flags the blocks whose LBR evidence depends on them.
 //!
-//! The production path ([`estimate`] / the crate-internal `LbrAccum`) interns branch source
-//! addresses into dense ids once and keeps every per-branch statistic in a
-//! plain vector; per-stack dedup uses an epoch-stamped bitset (O(1) per
-//! entry, replacing the seed's linear `contains` scan); per-block weights
-//! are vectors indexed by [`BlockMap`] block index; stream walks reuse one
-//! buffer through a locality [`hbbp_program::BlockCursor`], with small
-//! direct-mapped branch and stream caches in front of the hot lookups. The
-//! seed
-//! address-keyed implementation survives as [`estimate_ref`] for
-//! equivalence property tests and the perf trajectory benchmark.
+//! Estimation interns branch source addresses into dense ids once and
+//! keeps every per-branch statistic in a plain vector; per-stack dedup
+//! uses an epoch-stamped bitset (O(1) per entry); per-block weights are
+//! vectors indexed by [`BlockMap`] block index; stream walks reuse one
+//! buffer through [`BlockMap::walk_stream_into`], with small direct-mapped
+//! branch and stream caches in front of the hot lookups.
 
 use hbbp_perf::{PerfData, PerfSample};
-use hbbp_program::{Bbec, BlockCursor, BlockMap, DenseBbec};
+use hbbp_program::{Bbec, BlockMap, DenseBbec};
 use hbbp_sim::{EventSpec, LbrEntry};
 use std::collections::{HashMap, HashSet};
 
@@ -125,14 +121,13 @@ const STREAM_CACHE_BITS: u32 = 10;
 ///
 /// Branch identity exploits the block map: a well-formed LBR source is a
 /// block **terminator** address, so its block index doubles as its branch
-/// id — resolved through a locality cursor with no hashing at all. Only
+/// id — resolved through the map's page index with no hashing at all. Only
 /// sources that are not a terminator of any mapped block (garbage streams,
 /// unmapped modules) fall back to a hash-interned overflow id space above
 /// `map.len()`.
 #[derive(Debug, Clone)]
 pub(crate) struct LbrStats<'m> {
     map: &'m BlockMap,
-    cursor: BlockCursor<'m>,
     options: LbrOptions,
     period: u64,
     /// Non-terminator branch source address → overflow ordinal (the branch
@@ -167,7 +162,6 @@ impl<'m> LbrStats<'m> {
         let n = map.len();
         LbrStats {
             map,
-            cursor: map.cursor(),
             options,
             period,
             overflow_ids: HashMap::new(),
@@ -196,7 +190,7 @@ impl<'m> LbrStats<'m> {
             self.memo = Some(slot);
             return slot.1 as usize;
         }
-        let id = match self.cursor.enclosing(addr) {
+        let id = match self.map.enclosing(addr) {
             Some(bi) if self.map.blocks()[bi].terminator_addr() == addr => bi,
             _ => {
                 let base = self.map.len();
@@ -315,7 +309,6 @@ impl<'m> LbrStats<'m> {
         let mut biased_weight = vec![0.0f64; map.len()];
         let mut derailed = 0u64;
         let mut streams = 0u64;
-        let mut cursor = map.cursor();
         // Direct-mapped stream cache: a recording's streams are drawn from
         // the few hot loops' branch pairs over and over, so most walks can
         // be replayed from a tiny cache keyed by `<target, source>`. A
@@ -367,7 +360,7 @@ impl<'m> LbrStats<'m> {
                 streams += run;
                 let slot = &mut stream_cache[slot_of(target, source)];
                 if !slot.filled || slot.target != target || slot.source != source {
-                    slot.derailed = cursor.walk_stream_into(target, source, &mut slot.blocks);
+                    slot.derailed = map.walk_stream_into(target, source, &mut slot.blocks);
                     slot.filled = true;
                     slot.target = target;
                     slot.source = source;
@@ -379,7 +372,7 @@ impl<'m> LbrStats<'m> {
                     && match bias_memo {
                         Some((memo_source, verdict)) if memo_source == source => verdict,
                         _ => {
-                            let id = match cursor.enclosing(source) {
+                            let id = match map.enclosing(source) {
                                 Some(bi) if map.blocks()[bi].terminator_addr() == source => {
                                     Some(bi)
                                 }
@@ -425,7 +418,7 @@ impl<'m> LbrStats<'m> {
             let start = map.blocks()[bi].start;
             // Built directly (not via `to_bbec`) so a credited block keeps
             // its entry even when a degenerate period of 0 zeroes the
-            // value — exactly what the seed implementation produces.
+            // value, like the address-keyed reference does.
             bbec.set(start, value);
             let frac = biased_weight[bi] / w;
             biased_weight_fraction.insert(start, frac);
@@ -516,128 +509,6 @@ pub fn estimate(data: &PerfData, map: &BlockMap, period: u64, options: &LbrOptio
         acc.observe(sample);
     }
     acc.finish()
-}
-
-/// The seed address-keyed implementation of [`estimate`], kept as the
-/// reference for equivalence property tests and the `BENCH_pipeline.json`
-/// perf trajectory. Produces bit-identical results. Its per-stack dedup is
-/// the original O(stack²) scan and its walks go through the seed's
-/// whole-map binary searches ([`BlockMap::walk_stream_seed`]) — it
-/// measures the true pre-index baseline; do not use it on hot paths.
-pub fn estimate_ref(
-    data: &PerfData,
-    map: &BlockMap,
-    period: u64,
-    options: &LbrOptions,
-) -> LbrEstimate {
-    let event = EventSpec::br_inst_retired_near_taken();
-
-    // Pass 1: entry[0] occupancy statistics per branch source address,
-    // conditioned on the branch being present in a stack at all (a branch
-    // whose loop covers 10% of the run can still hog entry[0] of every
-    // snapshot taken *during* that loop — the paper's anomaly, §III.C).
-    let mut entry0_counts: HashMap<u64, u64> = HashMap::new();
-    let mut appearances: HashMap<u64, u64> = HashMap::new();
-    let mut stacks_containing: HashMap<u64, u64> = HashMap::new();
-    let mut entries_alongside: HashMap<u64, u64> = HashMap::new();
-    let mut stacks = 0u64;
-    let mut seen_in_stack: Vec<u64> = Vec::new();
-    for sample in data.samples_of(event) {
-        if sample.lbr.is_empty() {
-            continue;
-        }
-        stacks += 1;
-        *entry0_counts.entry(sample.lbr[0].from).or_insert(0) += 1;
-        seen_in_stack.clear();
-        for e in &sample.lbr {
-            *appearances.entry(e.from).or_insert(0) += 1;
-            if !seen_in_stack.contains(&e.from) {
-                seen_in_stack.push(e.from);
-            }
-        }
-        for &from in &seen_in_stack {
-            *stacks_containing.entry(from).or_insert(0) += 1;
-            *entries_alongside.entry(from).or_insert(0) += sample.lbr.len() as u64;
-        }
-    }
-    let biased_branches: HashSet<u64> = appearances
-        .iter()
-        .filter(|(addr, &total)| {
-            if total < options.min_branch_occurrences {
-                return false;
-            }
-            let present = stacks_containing.get(addr).copied().unwrap_or(0);
-            let alongside = entries_alongside.get(addr).copied().unwrap_or(0);
-            if present == 0 || alongside == 0 {
-                return false;
-            }
-            // Occupancy and fair share, conditional on presence.
-            let entry0_share =
-                entry0_counts.get(addr).copied().unwrap_or(0) as f64 / present as f64;
-            let fair_share = total as f64 / alongside as f64;
-            entry0_share - fair_share >= options.entry0_excess_threshold
-        })
-        .map(|(&addr, _)| addr)
-        .collect();
-
-    // Pass 2: stream decomposition and attribution.
-    let mut weight: HashMap<u64, f64> = HashMap::new();
-    let mut biased_weight: HashMap<u64, f64> = HashMap::new();
-    let mut derailed = 0u64;
-    let mut streams = 0u64;
-    for sample in data.samples_of(event) {
-        let n = sample.lbr.len();
-        if n < 2 {
-            continue;
-        }
-        let w = 1.0 / (n - 1) as f64;
-        for i in 1..n {
-            streams += 1;
-            let target = sample.lbr[i - 1].to;
-            let source = sample.lbr[i].from;
-            let walk = map.walk_stream_seed(target, source);
-            if walk.derailed {
-                derailed += 1;
-            }
-            let source_biased = biased_branches.contains(&source);
-            for bi in walk.blocks {
-                let start = map.blocks()[bi].start;
-                *weight.entry(start).or_insert(0.0) += w;
-                if source_biased {
-                    *biased_weight.entry(start).or_insert(0.0) += w;
-                }
-            }
-        }
-    }
-
-    let mut bbec = Bbec::new();
-    let mut biased_weight_fraction = HashMap::new();
-    let mut biased_blocks = HashSet::new();
-    for (&start, &w) in &weight {
-        bbec.set(start, w * period as f64);
-        let bw = biased_weight.get(&start).copied().unwrap_or(0.0);
-        let frac = if w > 0.0 { bw / w } else { 0.0 };
-        biased_weight_fraction.insert(start, frac);
-        if frac >= options.biased_weight_threshold {
-            biased_blocks.insert(start);
-        }
-    }
-    let dense = DenseBbec::from_bbec(&bbec, map);
-    let biased_idx = (0..map.len())
-        .map(|bi| biased_blocks.contains(&map.blocks()[bi].start))
-        .collect();
-    LbrEstimate {
-        bbec,
-        dense,
-        biased_blocks,
-        biased_idx,
-        biased_branches,
-        biased_weight_fraction,
-        stacks,
-        derailed_streams: derailed,
-        streams,
-        period,
-    }
 }
 
 #[cfg(test)]
@@ -787,37 +658,5 @@ mod tests {
         let est = estimate(&data, &fx.map, 100, &LbrOptions::default());
         assert_eq!(est.streams, 0);
         assert!(est.bbec.is_empty());
-    }
-
-    #[test]
-    fn index_and_reference_paths_agree() {
-        let fx = fixture();
-        let a = loop_entry(&fx);
-        let b = LbrEntry {
-            from: fx.head_term + 1,
-            to: fx.head_start,
-        };
-        let mut data = PerfData::new();
-        for i in 0..40 {
-            let stack = if i % 3 == 0 {
-                vec![a, b, b, b, a, b]
-            } else if i % 3 == 1 {
-                vec![a; 6]
-            } else {
-                vec![b, a, a, b]
-            };
-            data.push(stack_sample(stack));
-        }
-        let fast = estimate(&data, &fx.map, 250, &LbrOptions::default());
-        let seed = estimate_ref(&data, &fx.map, 250, &LbrOptions::default());
-        assert_eq!(fast.bbec, seed.bbec);
-        assert_eq!(fast.dense, seed.dense);
-        assert_eq!(fast.biased_blocks, seed.biased_blocks);
-        assert_eq!(fast.biased_idx, seed.biased_idx);
-        assert_eq!(fast.biased_branches, seed.biased_branches);
-        assert_eq!(fast.biased_weight_fraction, seed.biased_weight_fraction);
-        assert_eq!(fast.stacks, seed.stacks);
-        assert_eq!(fast.streams, seed.streams);
-        assert_eq!(fast.derailed_streams, seed.derailed_streams);
     }
 }

@@ -19,9 +19,8 @@
 //!   estimation pipeline runs in **block-index coordinates**
 //!   ([`hbbp_program::DenseBbec`]) and [`Analyzer::analyze_fused`]
 //!   dispatches each perf record to the EBS/LBR accumulators in a single
-//!   pass; the seed address-keyed implementations remain available as
-//!   `*_ref` functions for equivalence tests and perf trajectory
-//!   benchmarks;
+//!   pass (the seed address-keyed pipeline it is pinned against lives in
+//!   the test-only `hbbp-oracle` crate);
 //! * [`online`] — streaming analysis: [`OnlineAnalyzer`] consumes one
 //!   record at a time (bit-identical to the batch pipeline when
 //!   unwindowed) and optional time/sample windows turn long runs into

@@ -8,14 +8,14 @@
 //! window**. Memory is bounded by window size, not run length, which is
 //! what makes long-running, phase-varying workloads profileable at all.
 //!
-//! Records arrive either owned ([`OnlineAnalyzer::push_record`] /
-//! [`OnlineAnalyzer::push_owned`]) or as zero-copy
-//! [`hbbp_perf::RecordView`]s ([`OnlineAnalyzer::push_view`]) — the fused
-//! ingest path, where LBR branch pairs are parsed straight out of the
-//! decoder's wire buffer into pooled stack buffers and no owned
-//! [`PerfRecord`] ever exists. As a [`hbbp_perf::ViewSink`] the analyzer
-//! plugs directly into [`hbbp_perf::StreamDecoder::decode_into`]. All
-//! paths are pinned bit-identical by the property suite.
+//! Wire bytes arrive as zero-copy [`hbbp_perf::RecordView`]s
+//! ([`OnlineAnalyzer::push_view`]): as a [`hbbp_perf::ViewSink`] the
+//! analyzer plugs directly into [`hbbp_perf::StreamDecoder::decode_into`],
+//! LBR branch pairs are parsed straight out of the decoder's wire buffer
+//! into pooled stack buffers, and no owned [`PerfRecord`] ever exists.
+//! Owned records (a live collection session) arrive through the
+//! [`RecordSink`] impl, which moves each LBR stack into the window buffer.
+//! Both paths are pinned bit-identical by the property suite.
 //!
 //! Two consumption modes:
 //!
@@ -32,13 +32,14 @@
 //!
 //! ```
 //! use hbbp_core::{Analyzer, HybridRule, OnlineAnalyzer, SamplingPeriods};
-//! use hbbp_perf::PerfData;
-//! # fn demo(analyzer: &Analyzer, data: &PerfData) {
+//! use hbbp_perf::StreamDecoder;
+//! # fn demo(analyzer: &Analyzer, bytes: &[u8]) {
 //! let periods = SamplingPeriods { ebs: 1009, lbr: 211 };
 //! let mut online = OnlineAnalyzer::new(analyzer, periods, HybridRule::paper_default());
-//! for record in data.records() {
-//!     online.push_record(record);
-//! }
+//! let mut decoder = StreamDecoder::new();
+//! decoder.feed(bytes);
+//! decoder.decode_into(&mut online).unwrap();
+//! decoder.finish().unwrap();
 //! let analysis = online.finish().into_analysis().unwrap();
 //! # let _ = analysis;
 //! # }
@@ -127,22 +128,20 @@ impl OnlineOutcome {
     }
 }
 
-/// Where an incoming LBR stack lives: borrowed (cloned into a pooled
-/// buffer when kept), carved out of an owned record (moved when kept,
-/// dropped otherwise), or already in a pooled buffer filled from a
-/// zero-copy view (returned to the pool when not kept).
-enum StackIn<'s> {
-    Borrowed(&'s [LbrEntry]),
+/// Where an incoming LBR stack lives: carved out of an owned record
+/// (moved when kept, dropped otherwise), or in a pooled buffer filled
+/// from a zero-copy view (returned to the pool when not kept).
+enum StackIn {
     Owned(Vec<LbrEntry>),
     Pooled(Vec<LbrEntry>),
 }
 
-/// Streaming analyzer: [`push_record`](OnlineAnalyzer::push_record) the
-/// stream in any chunking, then [`finish`](OnlineAnalyzer::finish).
-///
-/// Also a [`RecordSink`], so it can terminate
-/// [`hbbp_perf::PerfSession::record_streaming`] directly — collection into
-/// analysis with no intermediate [`hbbp_perf::PerfData`] at all.
+/// Streaming analyzer: feed it the stream in any chunking — as a
+/// [`ViewSink`] behind [`hbbp_perf::StreamDecoder::decode_into`], or as a
+/// [`RecordSink`] terminating
+/// [`hbbp_perf::PerfSession::record_streaming`] (collection into analysis
+/// with no intermediate [`hbbp_perf::PerfData`] at all) — then
+/// [`finish`](OnlineAnalyzer::finish).
 #[derive(Debug)]
 pub struct OnlineAnalyzer<'a> {
     analyzer: &'a Analyzer,
@@ -253,32 +252,11 @@ impl<'a> OnlineAnalyzer<'a> {
         std::mem::take(&mut self.windows)
     }
 
-    /// Consume one record by reference (LBR stacks are copied into the
-    /// window buffer; use [`push_owned`](OnlineAnalyzer::push_owned) when
-    /// the record can be given away, e.g. from a decoder or a sink).
-    pub fn push_record(&mut self, record: &PerfRecord) {
-        self.records_seen += 1;
-        if let PerfRecord::Sample(s) = record {
-            self.ingest(s.event, s.ip, s.time_cycles, StackIn::Borrowed(&s.lbr));
-        }
-    }
-
-    /// Consume one owned record, moving its LBR stack into the window
-    /// buffer instead of cloning it.
-    pub fn push_owned(&mut self, record: PerfRecord) {
-        self.records_seen += 1;
-        if let PerfRecord::Sample(mut s) = record {
-            let lbr = std::mem::take(&mut s.lbr);
-            self.ingest(s.event, s.ip, s.time_cycles, StackIn::Owned(lbr));
-        }
-    }
-
     /// Consume one zero-copy record view ([`hbbp_perf::SampleView`] LBR
     /// entries are parsed straight out of the wire buffer into a pooled
     /// stack buffer — the fused ingest path never materializes an owned
-    /// `PerfRecord`). Pinned bit-identical to
-    /// [`push_owned`](OnlineAnalyzer::push_owned) of the same record by
-    /// `crates/core/tests/streaming_equivalence.rs`.
+    /// `PerfRecord`). Pinned bit-identical to the [`RecordSink`] ingest
+    /// of the same record by `crates/core/tests/streaming_equivalence.rs`.
     pub fn push_view(&mut self, view: &RecordView<'_>) {
         self.records_seen += 1;
         if let RecordView::Sample(s) = view {
@@ -289,7 +267,7 @@ impl<'a> OnlineAnalyzer<'a> {
             } else if s.event == self.ebs_event {
                 // The EBS estimator discards LBR stacks (paper §V.A), so
                 // the view's entries are never even parsed.
-                self.ingest(s.event, s.ip, s.time_cycles, StackIn::Borrowed(&[]));
+                self.ingest(s.event, s.ip, s.time_cycles, StackIn::Owned(Vec::new()));
             }
         }
     }
@@ -308,7 +286,7 @@ impl<'a> OnlineAnalyzer<'a> {
         }
     }
 
-    fn ingest(&mut self, event: EventSpec, ip: u64, time_cycles: u64, stack: StackIn<'_>) {
+    fn ingest(&mut self, event: EventSpec, ip: u64, time_cycles: u64, stack: StackIn) {
         let is_ebs = event == self.ebs_event;
         let is_lbr = event == self.lbr_event;
         if !is_ebs && !is_lbr {
@@ -324,19 +302,9 @@ impl<'a> OnlineAnalyzer<'a> {
             self.ebs.observe_ip(ip);
         } else {
             self.win_lbr += 1;
-            let entries: &[LbrEntry] = match &stack {
-                StackIn::Borrowed(e) => e,
-                StackIn::Owned(e) | StackIn::Pooled(e) => e,
-            };
+            let (StackIn::Owned(entries) | StackIn::Pooled(entries)) = &stack;
             if self.lbr.observe_stack(entries) {
-                let kept: Vec<LbrEntry> = match stack {
-                    StackIn::Borrowed(e) => {
-                        let mut buf = self.take_pooled();
-                        buf.extend_from_slice(e);
-                        buf
-                    }
-                    StackIn::Owned(e) | StackIn::Pooled(e) => e,
-                };
+                let (StackIn::Owned(kept) | StackIn::Pooled(kept)) = stack;
                 self.buffered_entries += kept.len();
                 self.peak_buffered_entries = self.peak_buffered_entries.max(self.buffered_entries);
                 self.stacks.push(kept);
@@ -424,8 +392,13 @@ impl<'a> OnlineAnalyzer<'a> {
 }
 
 impl RecordSink for OnlineAnalyzer<'_> {
+    /// Consume one owned record, moving its LBR stack into the window
+    /// buffer instead of cloning it.
     fn record(&mut self, record: PerfRecord) {
-        self.push_owned(record);
+        self.records_seen += 1;
+        if let PerfRecord::Sample(s) = record {
+            self.ingest(s.event, s.ip, s.time_cycles, StackIn::Owned(s.lbr));
+        }
     }
 }
 
@@ -540,7 +513,7 @@ mod tests {
         let batch = analyzer.analyze_fused(&data, periods(), &HybridRule::paper_default());
         let mut online = OnlineAnalyzer::new(analyzer, periods(), HybridRule::paper_default());
         for r in data.records() {
-            online.push_record(r);
+            online.record(r.clone());
         }
         let outcome = online.finish();
         assert_eq!(outcome.records_seen, data.len() as u64);
@@ -552,25 +525,27 @@ mod tests {
     }
 
     #[test]
-    fn push_owned_matches_push_record() {
+    fn push_view_matches_record_sink() {
         let fx = fixture();
         let data = mixed_stream(&fx);
         let analyzer = &fx.0;
-        let run = |owned: bool| {
-            let mut online = OnlineAnalyzer::new(analyzer, periods(), HybridRule::paper_default());
-            for r in data.records() {
-                if owned {
-                    online.push_owned(r.clone());
-                } else {
-                    online.push_record(r);
-                }
-            }
-            online.finish().into_analysis().unwrap()
-        };
-        let by_ref = run(false);
-        let by_val = run(true);
-        assert_eq!(by_ref.hbbp.bbec, by_val.hbbp.bbec);
-        assert_eq!(by_ref.lbr.biased_blocks, by_val.lbr.biased_blocks);
+        let mut owned = OnlineAnalyzer::new(analyzer, periods(), HybridRule::paper_default());
+        for r in data.records() {
+            owned.record(r.clone());
+        }
+        let mut viewed = OnlineAnalyzer::new(analyzer, periods(), HybridRule::paper_default());
+        let mut decoder = hbbp_perf::StreamDecoder::new();
+        decoder.feed(&hbbp_perf::codec::write(&data));
+        decoder.decode_into(&mut viewed).unwrap();
+        decoder.finish().unwrap();
+        let (owned, viewed) = (owned.finish(), viewed.finish());
+        assert_eq!(owned.records_seen, viewed.records_seen);
+        let (owned, viewed) = (
+            owned.into_analysis().unwrap(),
+            viewed.into_analysis().unwrap(),
+        );
+        assert_eq!(owned.hbbp.bbec, viewed.hbbp.bbec);
+        assert_eq!(owned.lbr.biased_blocks, viewed.lbr.biased_blocks);
     }
 
     #[test]
@@ -592,7 +567,7 @@ mod tests {
         let (_, s_start, ..) = fx;
         let mut online = OnlineAnalyzer::new(&fx.0, periods(), HybridRule::paper_default())
             .with_window(Window::TimeCycles(1_000_000));
-        online.push_record(&ebs_at(s_start, 5));
+        online.record(ebs_at(s_start, 5));
         let outcome = online.finish();
         assert!(outcome.windowed);
         assert_eq!(outcome.windows.len(), 1);
@@ -607,7 +582,7 @@ mod tests {
         let mut online = OnlineAnalyzer::new(analyzer, periods(), HybridRule::paper_default())
             .with_window(Window::Samples(7));
         for i in 0..23u64 {
-            online.push_record(&ebs_at(s_start, i));
+            online.record(ebs_at(s_start, i));
         }
         let outcome = online.finish();
         // 23 samples in windows of 7: 7 + 7 + 7 + 2.
@@ -627,7 +602,7 @@ mod tests {
             .with_window(Window::TimeCycles(100));
         // Samples in windows 0, 0, 2 (window 1 is an empty gap).
         for t in [10u64, 90, 250] {
-            online.push_record(&ebs_at(s_start, t));
+            online.record(ebs_at(s_start, t));
         }
         let outcome = online.finish();
         assert_eq!(outcome.windows.len(), 2);
@@ -658,14 +633,14 @@ mod tests {
             .with_window(Window::TimeCycles(1000));
         // Phase 1 (t < 1000): short-loop activity (ADDs via LBR).
         for i in 0..20u64 {
-            online.push_record(&lbr_at(s_term, s_start, 5, i * 40));
+            online.record(lbr_at(s_term, s_start, 5, i * 40));
         }
         // Phase 2 (t >= 1000): long-loop activity (SUBs via EBS).
         for i in 0..20u64 {
-            online.push_record(&ebs_at(l_start, 1000 + i * 40));
+            online.record(ebs_at(l_start, 1000 + i * 40));
         }
         // LBR evidence for the long block too, so the hybrid has choices.
-        online.push_record(&lbr_at(l_term, l_start, 5, 1990));
+        online.record(lbr_at(l_term, l_start, 5, 1990));
         let outcome = online.finish();
         assert_eq!(outcome.windows.len(), 2);
         let w0 = &outcome.windows[0];
@@ -687,7 +662,7 @@ mod tests {
                 online = online.with_window(w);
             }
             for i in 0..200u64 {
-                online.push_record(&lbr_at(s_term, s_start, 8, i * 10));
+                online.record(lbr_at(s_term, s_start, 8, i * 10));
             }
             online.finish().peak_buffered_entries
         };
@@ -724,7 +699,7 @@ mod tests {
             let mut online = OnlineAnalyzer::new(analyzer, periods(), HybridRule::paper_default())
                 .with_window(Window::Samples(5));
             for i in 0..23u64 {
-                online.push_record(&ebs_at(s_start, i));
+                online.record(ebs_at(s_start, i));
             }
             online.finish()
         };
@@ -734,7 +709,7 @@ mod tests {
             .with_window(Window::Samples(5));
         let mut drained = Vec::new();
         for i in 0..23u64 {
-            online.push_record(&ebs_at(s_start, i));
+            online.record(ebs_at(s_start, i));
             if i % 7 == 0 {
                 drained.extend(online.take_closed_windows());
             }
@@ -761,7 +736,7 @@ mod tests {
         let (_, s_start, ..) = fx;
         let mut online = OnlineAnalyzer::new(&fx.0, periods(), HybridRule::paper_default());
         for i in 0..10u64 {
-            online.push_record(&ebs_at(s_start, i));
+            online.record(ebs_at(s_start, i));
         }
         assert!(online.take_closed_windows().is_empty());
         assert_eq!(online.windows_closed(), 0);
@@ -778,7 +753,7 @@ mod tests {
         let data = mixed_stream(&fx);
         let mut online = OnlineAnalyzer::new(&analyzer, periods(), HybridRule::paper_default());
         for r in data.records() {
-            online.push_record(r);
+            online.record(r.clone());
         }
         let analysis = online.finish().into_analysis().unwrap();
         let batch = analyzer.analyze_fused(&data, periods(), &HybridRule::paper_default());

@@ -2,8 +2,11 @@
 //! (and the fused single-pass analyzer built on it) must produce
 //! **bit-identical** results to the seed address-keyed implementations on
 //! arbitrary sample streams — mapped, unmapped, derailing and biased alike.
+//! The seed implementations are the `hbbp-oracle` reference functions.
 
-use hbbp_core::{ebs, hybrid, lbr, Analyzer, HybridRule, LbrOptions, SamplingPeriods};
+use hbbp_core::{
+    ebs, hybrid, lbr, Analyzer, BlockFeatures, HybridRule, LbrOptions, SamplingPeriods,
+};
 use hbbp_isa::instruction::build;
 use hbbp_isa::{Mnemonic, Reg};
 use hbbp_perf::{PerfData, PerfRecord, PerfSample};
@@ -139,7 +142,7 @@ fn twitchy_options() -> LbrOptions {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `ebs::estimate` (index path) ≡ `ebs::estimate_ref` (seed path).
+    /// `ebs::estimate` (index path) ≡ `hbbp_oracle::ebs_estimate_ref` (seed path).
     #[test]
     fn ebs_dense_path_matches_seed(
         bodies in proptest::collection::vec(1usize..28, 1..5),
@@ -149,7 +152,7 @@ proptest! {
         let fx = fixture(&bodies);
         let data = build_data(&fx, &ips, &[]);
         let fast = ebs::estimate(&data, &fx.map, period);
-        let seed = ebs::estimate_ref(&data, &fx.map, period);
+        let seed = hbbp_oracle::ebs_estimate_ref(&data, &fx.map, period);
         prop_assert_eq!(&fast.bbec, &seed.bbec);
         prop_assert_eq!(&fast.dense, &seed.dense);
         prop_assert_eq!(&fast.samples_per_block, &seed.samples_per_block);
@@ -162,7 +165,7 @@ proptest! {
         }
     }
 
-    /// `lbr::estimate` (index path) ≡ `lbr::estimate_ref` (seed path),
+    /// `lbr::estimate` (index path) ≡ `hbbp_oracle::lbr_estimate_ref` (seed path),
     /// including all bias statistics.
     #[test]
     fn lbr_dense_path_matches_seed(
@@ -174,7 +177,7 @@ proptest! {
         let data = build_data(&fx, &[], &stacks);
         let options = twitchy_options();
         let fast = lbr::estimate(&data, &fx.map, period, &options);
-        let seed = lbr::estimate_ref(&data, &fx.map, period, &options);
+        let seed = hbbp_oracle::lbr_estimate_ref(&data, &fx.map, period, &options);
         prop_assert_eq!(&fast.bbec, &seed.bbec);
         prop_assert_eq!(&fast.dense, &seed.dense);
         prop_assert_eq!(&fast.biased_blocks, &seed.biased_blocks);
@@ -207,19 +210,15 @@ proptest! {
         let periods = SamplingPeriods { ebs: ebs_period, lbr: lbr_period };
         let rule = HybridRule::LengthCutoff(cutoff);
         let fused = analyzer.analyze_fused(&data, periods, &rule);
-        let seed = analyzer.analyze_ref(&data, periods, &rule);
+        let seed = hbbp_oracle::analyze_ref(&analyzer, &data, periods, &rule);
         prop_assert_eq!(&fused.ebs.bbec, &seed.ebs.bbec);
         prop_assert_eq!(&fused.lbr.bbec, &seed.lbr.bbec);
         prop_assert_eq!(&fused.hbbp.bbec, &seed.hbbp.bbec);
         prop_assert_eq!(&fused.hbbp.dense, &seed.hbbp.dense);
         prop_assert_eq!(&fused.hbbp.choices, &seed.hbbp.choices);
-        // `analyze` is a thin wrapper over the fused path.
-        let via_analyze = analyzer.analyze(&data, periods, &rule);
-        prop_assert_eq!(&via_analyze.hbbp.bbec, &fused.hbbp.bbec);
-        prop_assert_eq!(&via_analyze.hbbp.choices, &fused.hbbp.choices);
     }
 
-    /// `hybrid::combine` on dense estimates ≡ `hybrid::combine_ref` on the
+    /// `hybrid::combine` on dense estimates ≡ `hbbp_oracle::combine_ref` on the
     /// same estimates, across every rule variant.
     #[test]
     fn combine_dense_matches_seed(
@@ -238,10 +237,105 @@ proptest! {
             HybridRule::AlwaysLbr,
         ] {
             let fast = hybrid::combine(&fx.map, &e, &l, &rule);
-            let seed = hybrid::combine_ref(&fx.map, &e, &l, &rule);
+            let seed = hbbp_oracle::combine_ref(&fx.map, &e, &l, &rule);
             prop_assert_eq!(&fast.bbec, &seed.bbec);
             prop_assert_eq!(&fast.dense, &seed.dense);
             prop_assert_eq!(&fast.choices, &seed.choices);
         }
     }
+}
+
+#[test]
+fn ebs_index_and_reference_paths_agree() {
+    // One 5-instruction loop block + exit; IPs at its start, inside it,
+    // unmapped, and past its last instruction's start.
+    let fx = fixture(&[4]);
+    let b0 = &fx.map.blocks()[0];
+    let (b0_start, mid_ip) = (b0.start, b0.start + u64::from(b0.offsets[2]));
+    let mut data = PerfData::new();
+    for ip in [b0_start, mid_ip, 0xdead_beef, b0_start, mid_ip + 2] {
+        data.push(ebs_sample(ip));
+    }
+    let fast = ebs::estimate(&data, &fx.map, 733);
+    let seed = hbbp_oracle::ebs_estimate_ref(&data, &fx.map, 733);
+    assert_eq!(fast.bbec, seed.bbec);
+    assert_eq!(fast.dense, seed.dense);
+    assert_eq!(fast.samples_per_block, seed.samples_per_block);
+    assert_eq!(fast.samples_used, seed.samples_used);
+    assert_eq!(fast.samples_unmapped, seed.samples_unmapped);
+    assert_eq!(fast.count_idx(0), fast.count(b0_start));
+}
+
+#[test]
+fn lbr_index_and_reference_paths_agree() {
+    // The loop branch `a` and a synthetic unmapped branch `b` one byte
+    // past it, in stacks that make the bias machinery fire.
+    let fx = fixture(&[4]);
+    let head = &fx.map.blocks()[0];
+    let a = LbrEntry {
+        from: head.terminator_addr(),
+        to: head.start,
+    };
+    let b = LbrEntry {
+        from: head.terminator_addr() + 1,
+        to: head.start,
+    };
+    let mut data = PerfData::new();
+    for i in 0..40 {
+        let stack = match i % 3 {
+            0 => vec![a, b, b, b, a, b],
+            1 => vec![a; 6],
+            _ => vec![b, a, a, b],
+        };
+        data.push(lbr_sample(stack));
+    }
+    let fast = lbr::estimate(&data, &fx.map, 250, &LbrOptions::default());
+    let seed = hbbp_oracle::lbr_estimate_ref(&data, &fx.map, 250, &LbrOptions::default());
+    assert_eq!(fast.bbec, seed.bbec);
+    assert_eq!(fast.dense, seed.dense);
+    assert_eq!(fast.biased_blocks, seed.biased_blocks);
+    assert_eq!(fast.biased_idx, seed.biased_idx);
+    assert_eq!(fast.biased_branches, seed.biased_branches);
+    assert_eq!(fast.biased_weight_fraction, seed.biased_weight_fraction);
+    assert_eq!(fast.stacks, seed.stacks);
+    assert_eq!(fast.streams, seed.streams);
+    assert_eq!(fast.derailed_streams, seed.derailed_streams);
+}
+
+#[test]
+fn feature_extraction_captures_static_properties() {
+    // A self-looping block of three ADDs, an IDIV and the JNZ.
+    let mut b = ProgramBuilder::new("f");
+    let m = b.module("f.bin", Ring::User);
+    let f = b.function(m, "main");
+    let b0 = b.block(f);
+    let b1 = b.block(f);
+    for i in 0..3 {
+        b.push(b0, build::rr(Mnemonic::Add, Reg::gpr(i), Reg::gpr(5)));
+    }
+    b.push(b0, build::r(Mnemonic::Idiv, Reg::gpr(6)));
+    b.terminate_branch(b0, Mnemonic::Jnz, b0, b1);
+    b.terminate_exit(b1, build::bare(Mnemonic::Syscall));
+    let mut p = b.build(f).unwrap();
+    let layout = Layout::compute(&mut p).unwrap();
+    let image = TextImage::encode(&p, &layout, p.modules()[0].id(), ImageView::Disk);
+    let map = BlockMap::discover(&[image], layout.symbols()).unwrap();
+
+    let empty = PerfData::new();
+    let e = ebs::estimate(&empty, &map, 100);
+    let l = lbr::estimate(&empty, &map, 50, &LbrOptions::default());
+    let bi = map.at_start(layout.block_start(b0)).unwrap();
+    let feats = BlockFeatures::extract_indexed(&map.blocks()[bi], bi, &e, &l);
+    let seed = hbbp_oracle::extract_features(&map.blocks()[bi], &e, &l);
+    assert_eq!(feats, seed, "address and index paths must agree");
+    assert_eq!(feats.block_len, 5.0);
+    assert!(feats.has_long_latency, "IDIV present");
+    assert!(feats.backward_branch, "self-loop Jnz");
+    assert!(!feats.bias);
+    assert_eq!(feats.exec_estimate_log10, 0.0);
+    assert!(feats.mean_latency > 1.0);
+    let v = feats.to_vec();
+    assert_eq!(v.len(), hbbp_core::FEATURE_NAMES.len());
+    assert_eq!(v[0], 5.0);
+    assert_eq!(v[1], 0.0);
 }

@@ -6,13 +6,14 @@
 //! window must equal the batch analysis of exactly its slice. The fused
 //! zero-copy ingest ([`StreamDecoder::decode_into`] driving
 //! [`OnlineAnalyzer::push_view`]) must match the owned
-//! `next_record`+`push_owned` path bit-for-bit on the same byte stream,
-//! windowed and unwindowed alike.
+//! `next_record` → [`RecordSink`] path bit-for-bit on the same byte
+//! stream, windowed and unwindowed alike, and the record-at-a-time run
+//! must also match the seed pipeline (`hbbp_oracle::analyze_ref`).
 
 use hbbp_core::{Analyzer, HybridRule, LbrOptions, OnlineAnalyzer, SamplingPeriods, Window};
 use hbbp_isa::instruction::build;
 use hbbp_isa::{Mnemonic, Reg};
-use hbbp_perf::{codec, PerfData, PerfRecord, PerfSample, StreamDecoder};
+use hbbp_perf::{codec, PerfData, PerfRecord, PerfSample, RecordSink, StreamDecoder};
 use hbbp_program::{BlockMap, ImageView, Layout, ProgramBuilder, Ring, TextImage};
 use hbbp_sim::{EventSpec, LbrEntry};
 use proptest::prelude::*;
@@ -183,7 +184,8 @@ fn assert_analysis_eq(a: &hbbp_core::Analysis, b: &hbbp_core::Analysis) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// One record at a time through `OnlineAnalyzer` ≡ `analyze_fused`.
+    /// One record at a time through `OnlineAnalyzer` ≡ `analyze_fused` ≡
+    /// the seed pipeline.
     #[test]
     fn record_at_a_time_matches_batch(
         bodies in proptest::collection::vec(1usize..28, 1..5),
@@ -199,12 +201,14 @@ proptest! {
         let periods = SamplingPeriods { ebs: ebs_period, lbr: lbr_period };
         let rule = HybridRule::LengthCutoff(cutoff);
         let batch = analyzer.analyze_fused(&data, periods, &rule);
+        let seed = hbbp_oracle::analyze_ref(&analyzer, &data, periods, &rule);
         let mut online = OnlineAnalyzer::new(&analyzer, periods, rule);
         for record in data.records() {
-            online.push_record(record);
+            online.record(record.clone());
         }
         let streamed = online.finish().into_analysis().expect("unwindowed");
         assert_analysis_eq(&streamed, &batch);
+        assert_analysis_eq(&streamed, &seed);
     }
 
     /// The full wire path — encode, split into random byte chunks, stream
@@ -236,7 +240,7 @@ proptest! {
             decoder.feed(&bytes[prev..p]);
             prev = p;
             while let Some(record) = decoder.next_record().expect("valid stream") {
-                online.push_owned(record);
+                online.record(record);
             }
         }
         decoder.finish().expect("clean end of stream");
@@ -262,7 +266,7 @@ proptest! {
         let mut online = OnlineAnalyzer::new(&analyzer, periods, rule.clone())
             .with_window(Window::Samples(window_samples));
         for record in data.records() {
-            online.push_record(record);
+            online.record(record.clone());
         }
         let outcome = online.finish();
 
@@ -320,7 +324,7 @@ proptest! {
     }
 
     /// The fused zero-copy ingest — `decode_into` handing borrowed views
-    /// straight to the analyzer — ≡ the owned `push_owned` path ≡
+    /// straight to the analyzer — ≡ the owned `RecordSink` path ≡
     /// `analyze_fused`, under any chunking of the wire bytes.
     #[test]
     fn fused_wire_stream_matches_owned_and_batch(
@@ -353,7 +357,7 @@ proptest! {
             fused_dec.decode_into(&mut fused).expect("valid stream");
             owned_dec.feed(&bytes[prev..p]);
             while let Some(record) = owned_dec.next_record().expect("valid stream") {
-                owned.push_owned(record);
+                owned.record(record);
             }
             prev = p;
         }
@@ -402,7 +406,7 @@ proptest! {
             fused_dec.decode_into(&mut fused).expect("valid stream");
             owned_dec.feed(&bytes[prev..p]);
             while let Some(record) = owned_dec.next_record().expect("valid stream") {
-                owned.push_owned(record);
+                owned.record(record);
             }
             prev = p;
         }
@@ -442,7 +446,7 @@ proptest! {
         let mut online = OnlineAnalyzer::new(&analyzer, periods, HybridRule::paper_default())
             .with_window(Window::TimeCycles(width));
         for record in data.records() {
-            online.push_record(record);
+            online.record(record.clone());
         }
         let outcome = online.finish();
         let total: u64 = outcome

@@ -235,8 +235,7 @@ pub struct StreamWalk {
 /// A discovered map also carries a page-granular lookup index (see
 /// `PageIndex`) so [`BlockMap::enclosing`] resolves an instruction
 /// pointer with a handful of comparisons instead of a binary search over
-/// every block, and hands out [`BlockCursor`]s exploiting the temporal
-/// locality of profiling samples.
+/// every block.
 #[derive(Debug, Clone)]
 pub struct BlockMap {
     blocks: Vec<StaticBlock>,
@@ -329,58 +328,6 @@ impl PageIndex {
             None => seg.end_block as usize,
         };
         Some((lo, hi))
-    }
-}
-
-/// A stateful IP → block lookup handle over one [`BlockMap`].
-///
-/// Profiling samples are highly local: consecutive IPs usually land in the
-/// same block or the next one. The cursor checks its last hit (and the
-/// following block) before falling back to the map's indexed lookup, so
-/// hot loops resolve in a couple of comparisons. Lookups through a cursor
-/// return exactly what [`BlockMap::enclosing`] returns.
-#[derive(Debug, Clone)]
-pub struct BlockCursor<'a> {
-    map: &'a BlockMap,
-    last: usize,
-}
-
-impl<'a> BlockCursor<'a> {
-    /// The map this cursor reads.
-    pub fn map(&self) -> &'a BlockMap {
-        self.map
-    }
-
-    /// Index of the block containing `addr` (same result as
-    /// [`BlockMap::enclosing`], usually much cheaper).
-    pub fn enclosing(&mut self, addr: u64) -> Option<usize> {
-        let blocks = self.map.blocks();
-        if let Some(block) = blocks.get(self.last) {
-            if addr >= block.start && addr < block.end() {
-                return Some(self.last);
-            }
-            if let Some(next) = blocks.get(self.last + 1) {
-                if addr >= next.start && addr < next.end() {
-                    self.last += 1;
-                    return Some(self.last);
-                }
-            }
-        }
-        let idx = self.map.enclosing(addr)?;
-        self.last = idx;
-        Some(idx)
-    }
-
-    /// Walk an LBR stream like [`BlockMap::walk_stream`], but resolve the
-    /// stream target through the cursor's locality cache and append the
-    /// covered block indices to `covered` (cleared first) instead of
-    /// allocating. Returns whether the walk derailed.
-    pub fn walk_stream_into(&mut self, target: u64, source: u64, covered: &mut Vec<usize>) -> bool {
-        covered.clear();
-        let Some(idx) = self.enclosing(target) else {
-            return true;
-        };
-        self.map.walk_from(idx, target, source, covered)
     }
 }
 
@@ -564,31 +511,11 @@ impl BlockMap {
         (addr < self.blocks[idx].end()).then_some(idx)
     }
 
-    /// Reference lookup over the full sorted block vector (the seed
-    /// implementation, a whole-map binary search per call). Kept as the
-    /// oracle for the page index — `enclosing` must agree with it on every
-    /// address — and as the baseline the `BENCH_pipeline.json` perf
-    /// trajectory measures the indexed pipeline against.
-    pub fn enclosing_seed(&self, addr: u64) -> Option<usize> {
-        let pos = self.blocks.partition_point(|b| b.start <= addr);
-        if pos == 0 {
-            return None;
-        }
-        let idx = pos - 1;
-        (addr < self.blocks[idx].end()).then_some(idx)
-    }
-
+    /// The whole-map binary search the page index must agree with.
     fn enclosing_unindexed(&self, addr: u64) -> Option<usize> {
-        self.enclosing_seed(addr)
-    }
-
-    /// A stateful lookup handle exploiting sample locality (last-hit
-    /// cache in front of the indexed lookup).
-    pub fn cursor(&self) -> BlockCursor<'_> {
-        BlockCursor {
-            map: self,
-            last: usize::MAX,
-        }
+        let pos = self.blocks.partition_point(|b| b.start <= addr);
+        let idx = pos.checked_sub(1)?;
+        (addr < self.blocks[idx].end()).then_some(idx)
     }
 
     /// Index of the block starting exactly at `addr`.
@@ -629,71 +556,9 @@ impl BlockMap {
     /// streams.
     pub fn walk_stream_into(&self, target: u64, source: u64, covered: &mut Vec<usize>) -> bool {
         covered.clear();
-        let Some(idx) = self.enclosing(target) else {
+        let Some(mut idx) = self.enclosing(target) else {
             return true;
         };
-        self.walk_from(idx, target, source, covered)
-    }
-
-    /// Seed-faithful stream walk: whole-map binary searches for the target
-    /// lookup and for every mid-stream block transition (`at_start`), with
-    /// a fresh allocation per call — exactly the seed implementation.
-    /// Same results as [`BlockMap::walk_stream`]; kept for the reference
-    /// estimators the perf trajectory benchmark compares against.
-    pub fn walk_stream_seed(&self, target: u64, source: u64) -> StreamWalk {
-        let mut covered = Vec::new();
-        let Some(mut idx) = self.enclosing_seed(target) else {
-            return StreamWalk {
-                blocks: covered,
-                derailed: true,
-            };
-        };
-        if source < target {
-            return StreamWalk {
-                blocks: covered,
-                derailed: true,
-            };
-        }
-        loop {
-            let block = &self.blocks[idx];
-            covered.push(idx);
-            if source >= block.start && source < block.end() {
-                return StreamWalk {
-                    blocks: covered,
-                    derailed: false,
-                };
-            }
-            let consistent = match block.term_kind {
-                Some(BranchKind::Conditional) | None => true,
-                Some(BranchKind::Unconditional) => block.term_target == Some(block.end()),
-                Some(BranchKind::Call) | Some(BranchKind::Return) => false,
-            };
-            if !consistent {
-                return StreamWalk {
-                    blocks: covered,
-                    derailed: true,
-                };
-            }
-            match self.at_start(block.end()) {
-                Some(next) => idx = next,
-                None => {
-                    return StreamWalk {
-                        blocks: covered,
-                        derailed: true,
-                    }
-                }
-            }
-        }
-    }
-
-    /// Shared walk body: `idx` must be the block enclosing `target`.
-    fn walk_from(
-        &self,
-        mut idx: usize,
-        target: u64,
-        source: u64,
-        covered: &mut Vec<usize>,
-    ) -> bool {
         if source < target {
             return true;
         }

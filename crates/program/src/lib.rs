@@ -15,8 +15,8 @@
 //!   paper), plus [`TextImage::patch_from`], the paper's kernel-text patch
 //!   step.
 //! * [`BlockMap`] — static basic-block discovery over images ("static basic
-//!   block maps", §V.B) with page-indexed address lookup ([`BlockCursor`])
-//!   and LBR stream walking.
+//!   block maps", §V.B) with page-indexed address lookup
+//!   ([`BlockMap::enclosing`]) and LBR stream walking.
 //! * [`Walker`] / [`ExecutionOracle`] — deterministic dynamic execution,
 //!   shared by the CPU simulator and the instrumentation ground truth.
 //! * [`Bbec`] / [`DenseBbec`] / [`MnemonicMix`] — block execution counts in
@@ -43,7 +43,7 @@ pub use builder::ProgramBuilder;
 pub use dense::DenseBbec;
 pub use ids::{BlockId, FunctionId, ModuleId};
 pub use image::{
-    BlockCursor, BlockMap, DiscoverError, ImageView, PatchError, StaticBlock, StreamWalk, TextImage,
+    BlockMap, DiscoverError, ImageView, PatchError, StaticBlock, StreamWalk, TextImage,
 };
 pub use layout::{Layout, SymbolInfo, KERNEL_BASE, USER_BASE};
 pub use module::{Function, Module, Ring, TracepointSite};

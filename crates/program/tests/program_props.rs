@@ -201,7 +201,7 @@ proptest! {
     }
 
     #[test]
-    fn cursor_agrees_with_enclosing(
+    fn enclosing_agrees_with_seed_binary_search(
         recipes in proptest::collection::vec(arb_fn(), 1..4),
         picks in proptest::collection::vec(0usize..4096, 1..200),
     ) {
@@ -213,12 +213,11 @@ proptest! {
             .collect();
         let map = BlockMap::discover(&images, layout.symbols()).unwrap();
         let pool = probe_addrs(&map);
-        // One long-lived cursor over an arbitrary (locality-free) address
-        // sequence must still return exactly what the stateless lookup does.
-        let mut cursor = map.cursor();
+        // An arbitrary (locality-free) address sequence: the page-indexed
+        // lookup returns exactly what the seed whole-map search does.
         for pick in picks {
             let addr = pool[pick % pool.len()];
-            prop_assert_eq!(cursor.enclosing(addr), map.enclosing(addr));
+            prop_assert_eq!(map.enclosing(addr), hbbp_oracle::enclosing_seed(&map, addr));
         }
     }
 
@@ -235,7 +234,6 @@ proptest! {
             .collect();
         let map = BlockMap::discover(&images, layout.symbols()).unwrap();
         let pool = probe_addrs(&map);
-        let mut cursor = map.cursor();
         let mut buf = Vec::new();
         for (ti, si) in picks {
             let target = pool[ti % pool.len()];
@@ -244,9 +242,7 @@ proptest! {
             let derailed = map.walk_stream_into(target, source, &mut buf);
             prop_assert_eq!(derailed, walk.derailed);
             prop_assert_eq!(&buf, &walk.blocks);
-            let derailed = cursor.walk_stream_into(target, source, &mut buf);
-            prop_assert_eq!(derailed, walk.derailed);
-            prop_assert_eq!(&buf, &walk.blocks);
+            prop_assert_eq!(&walk, &hbbp_oracle::walk_stream_seed(&map, target, source));
         }
     }
 

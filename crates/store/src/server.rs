@@ -435,7 +435,7 @@ impl<'a> Conn<'a> {
     /// both analyzers with borrowed [`RecordView`]s, so sample records —
     /// the bulk of any stream — are never materialized as owned
     /// `PerfRecord`s. Results are pinned bit-identical to the owned
-    /// `next_record` → `push_owned` path by the core property suite.
+    /// `next_record` → `RecordSink` path by the core property suite.
     fn pump_decoder(&mut self, ctx: &WorkerCtx<'a>) -> Result<(), String> {
         let ConnState::Ingest(ingest) = &mut self.state else {
             unreachable!("pump_decoder outside Ingest");

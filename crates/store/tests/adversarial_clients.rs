@@ -4,57 +4,18 @@
 //! them may delay other streams, and the queried aggregate must stay
 //! bit-identical to the single-process batch fold.
 
-use hbbp_core::{Analyzer, HybridRule, SamplingPeriods, Window};
-use hbbp_perf::{PerfData, PerfSession, Recording};
-use hbbp_program::{Bbec, ImageView};
-use hbbp_sim::Cpu;
+mod common;
+
+use common::{analyzer_for, batch_fold, client_recording, tmp_dir, PERIODS};
+use hbbp_core::{HybridRule, Window};
+use hbbp_perf::{PerfData, Recording};
 use hbbp_store::wire::{OP_QUERY_MIX, OP_STREAM};
 use hbbp_store::{DaemonConfig, DaemonHandle, ProfileStore, StoreIdentity};
-use hbbp_workloads::{phased_client, Scale, Workload};
+use hbbp_workloads::Workload;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
-
-const PERIODS: SamplingPeriods = SamplingPeriods {
-    ebs: 1009,
-    lbr: 211,
-};
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("hbbp-adversarial-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    dir
-}
-
-fn client_recording(client: u32) -> (Workload, Recording) {
-    let w = phased_client(Scale::Tiny, client);
-    let session = PerfSession::hbbp(
-        Cpu::with_seed(100 + u64::from(client)),
-        PERIODS.ebs,
-        PERIODS.lbr,
-    )
-    .with_pid(1000 + client);
-    let rec = session
-        .record(w.program(), w.layout(), w.oracle())
-        .expect("recording");
-    (w, rec)
-}
-
-fn analyzer_for(w: &Workload) -> Analyzer {
-    Analyzer::from_images(&w.images(ImageView::Disk), w.layout().symbols()).expect("discovery")
-}
-
-fn batch_fold(analyzer: &Analyzer, recordings: &[&PerfData]) -> Bbec {
-    let rule = HybridRule::paper_default();
-    let mut acc = Bbec::new();
-    for data in recordings {
-        let analysis = analyzer.analyze_fused(data, PERIODS, &rule);
-        acc.merge(&analysis.hbbp.bbec);
-    }
-    acc
-}
 
 fn spawn_daemon(dir: &Path, w: &Workload, window: Option<Window>) -> DaemonHandle {
     let analyzer = analyzer_for(w);

@@ -5,47 +5,14 @@
 //! listing, the unknown-epoch rejection, and the daemon-side reservation
 //! of the compacted source id.
 
-use hbbp_core::{Analyzer, HybridRule, MixDrift, SamplingPeriods, Window};
-use hbbp_perf::{PerfSession, Recording};
-use hbbp_program::{Bbec, ImageView};
-use hbbp_sim::Cpu;
+mod common;
+
+use common::{analyzer_for, client_recording, tmp_dir, PERIODS};
+use hbbp_core::{HybridRule, MixDrift, Window};
+use hbbp_perf::Recording;
+use hbbp_program::Bbec;
 use hbbp_store::{DaemonConfig, StoreIdentity, WireError};
-use hbbp_workloads::{phased_client, Scale, Workload};
-use std::path::PathBuf;
-
-const PERIODS: SamplingPeriods = SamplingPeriods {
-    ebs: 1009,
-    lbr: 211,
-};
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("hbbp-epoch-drift-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    dir
-}
-
-/// One client recording: the shared phased binary under this client's
-/// shape and hardware seed — different clients exercise visibly
-/// different phase mixtures, which is exactly the "shifted mix" the
-/// drift query exists to expose.
-fn client_recording(client: u32) -> (Workload, Recording) {
-    let w = phased_client(Scale::Tiny, client);
-    let session = PerfSession::hbbp(
-        Cpu::with_seed(100 + u64::from(client)),
-        PERIODS.ebs,
-        PERIODS.lbr,
-    )
-    .with_pid(1000 + client);
-    let rec = session
-        .record(w.program(), w.layout(), w.oracle())
-        .expect("recording");
-    (w, rec)
-}
-
-fn analyzer_for(w: &Workload) -> Analyzer {
-    Analyzer::from_images(&w.images(ImageView::Disk), w.layout().symbols()).expect("discovery")
-}
+use hbbp_workloads::Workload;
 
 #[test]
 fn drift_reply_is_bit_identical_to_the_offline_fold_diff() {

@@ -5,57 +5,15 @@
 //! (the canonical `(source, seq)`-ordered fold of per-recording
 //! `Analyzer::analyze_fused` results).
 
-use hbbp_core::{Analyzer, HybridRule, SamplingPeriods, Window};
+mod common;
+
+use common::{analyzer_for, batch_fold, client_recording, tmp_dir, PERIODS};
+use hbbp_core::{HybridRule, Window};
 use hbbp_perf::{PerfData, PerfSession, Recording};
-use hbbp_program::{Bbec, ImageView};
+use hbbp_program::Bbec;
 use hbbp_sim::Cpu;
 use hbbp_store::{DaemonConfig, ProfileStore, StoreIdentity};
-use hbbp_workloads::{phased_client, Scale, Workload};
-use std::path::PathBuf;
-
-const PERIODS: SamplingPeriods = SamplingPeriods {
-    ebs: 1009,
-    lbr: 211,
-};
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("hbbp-fleet-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    dir
-}
-
-/// One fleet client: the shared phased binary run under this client's
-/// shape and hardware seed.
-fn client_recording(client: u32) -> (Workload, Recording) {
-    let w = phased_client(Scale::Tiny, client);
-    let session = PerfSession::hbbp(
-        Cpu::with_seed(100 + u64::from(client)),
-        PERIODS.ebs,
-        PERIODS.lbr,
-    )
-    .with_pid(1000 + client);
-    let rec = session
-        .record(w.program(), w.layout(), w.oracle())
-        .expect("recording");
-    (w, rec)
-}
-
-fn analyzer_for(w: &Workload) -> Analyzer {
-    Analyzer::from_images(&w.images(ImageView::Disk), w.layout().symbols()).expect("discovery")
-}
-
-/// The single-process reference: fold per-recording batch analyses in
-/// source order.
-fn batch_fold(analyzer: &Analyzer, recordings: &[&PerfData]) -> Bbec {
-    let rule = HybridRule::paper_default();
-    let mut acc = Bbec::new();
-    for data in recordings {
-        let analysis = analyzer.analyze_fused(data, PERIODS, &rule);
-        acc.merge(&analysis.hbbp.bbec);
-    }
-    acc
-}
+use hbbp_workloads::Workload;
 
 fn assert_bbec_bit_identical(got: &Bbec, want: &Bbec, what: &str) {
     assert_eq!(got.len(), want.len(), "{what}: entry counts differ");

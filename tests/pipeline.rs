@@ -100,7 +100,7 @@ fn perf_data_roundtrips_through_binary_codec() {
     // And the decoded stream supports the same analysis.
     let re = result
         .analyzer
-        .analyze(&back, result.periods, &HybridRule::paper_default());
+        .analyze_fused(&back, result.periods, &HybridRule::paper_default());
     assert_eq!(re.hbbp.bbec.total(), result.analysis.hbbp.bbec.total());
 }
 
