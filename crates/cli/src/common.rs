@@ -1,11 +1,14 @@
 //! Option pieces shared by several subcommands: workload selection,
-//! `--window` specs, hybrid-rule selection, and sampling periods.
+//! `--window` specs, hybrid-rule selection, sampling periods, and epoch
+//! selection in a store.
 
 use crate::args::{invalid, ArgStream, CliError};
 use crate::registry;
 use hbbp_core::{Analyzer, HybridRule, SamplingPeriods, Window};
 use hbbp_program::ImageView;
+use hbbp_store::Snapshot;
 use hbbp_workloads::{Scale, Workload};
+use std::path::Path;
 
 /// Parse a `--window` spec: `samples:N` or `cycles:N`.
 ///
@@ -134,6 +137,41 @@ pub fn analyzer_for(workload: &Workload) -> Result<Analyzer, CliError> {
         workload.layout().symbols(),
     )
     .map_err(|e| CliError::Failed(format!("static discovery failed: {e:?}")))
+}
+
+/// Pick the epoch of `snapshot` (read from the store at `store`) that a
+/// command folds: `requested`, or the latest when `None`. Only epochs
+/// that hold counts frames qualify — the set the daemon's `EPOCHS` op
+/// lists. An epoch holding only window frames (a stream that flushed
+/// windows, then failed) folds to an empty profile, and an empty mix
+/// hides any drift, so naming one is an error.
+///
+/// # Errors
+///
+/// [`CliError::Failed`] when no epoch holds counts, or when `requested`
+/// is not one of the epochs that do (the message lists them).
+pub fn counts_epoch(
+    snapshot: &Snapshot,
+    requested: Option<u32>,
+    store: &Path,
+) -> Result<u32, CliError> {
+    let mut epochs = snapshot.counts_epochs.clone();
+    epochs.sort_unstable();
+    epochs.dedup();
+    let Some(&latest) = epochs.last() else {
+        return Err(CliError::Failed(format!(
+            "store {} holds no counts frames in any epoch",
+            store.display()
+        )));
+    };
+    let epoch = requested.unwrap_or(latest);
+    if !epochs.contains(&epoch) {
+        return Err(CliError::Failed(format!(
+            "store {} has no epoch {epoch} holding counts (epochs holding counts: {epochs:?})",
+            store.display()
+        )));
+    }
+    Ok(epoch)
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 
 use crate::analyze::stream_recording;
 use crate::args::{parse_all, CliError};
-use crate::common::{analyzer_for, parse_rule, parse_window_flag, WorkloadOptions};
+use crate::common::{analyzer_for, counts_epoch, parse_rule, parse_window_flag, WorkloadOptions};
 use crate::registry;
 use crate::render::{json_f64, mix_json_entries, Format};
 use hbbp_core::{Analyzer, HybridRule, SamplingPeriods, Window};
@@ -327,13 +327,7 @@ impl SynthOptions {
         }
         match self.epoch {
             Some(epoch) => {
-                let epochs = snapshot.epochs();
-                if !epochs.contains(&epoch) {
-                    return Err(CliError::Failed(format!(
-                        "store {} has no epoch {epoch} (epochs: {epochs:?})",
-                        path.display()
-                    )));
-                }
+                let epoch = counts_epoch(&snapshot, Some(epoch), path)?;
                 let mix = analyzer.mix(&snapshot.epoch_aggregate(epoch));
                 Ok((mix, format!("store {} epoch {epoch}", path.display())))
             }

@@ -12,7 +12,7 @@
 
 use crate::analyze::stream_recording;
 use crate::args::{parse_all, CliError};
-use crate::common::{analyzer_for, parse_rule, parse_window, WorkloadOptions};
+use crate::common::{analyzer_for, counts_epoch, parse_rule, parse_window, WorkloadOptions};
 use crate::registry;
 use hbbp_core::{HybridRule, MixDrift, Window};
 use hbbp_program::MnemonicMix;
@@ -146,20 +146,7 @@ impl WatchOptions {
             )));
         }
         let snapshot = store.snapshot();
-        let epochs = snapshot.epochs();
-        let Some(&latest) = epochs.last() else {
-            return Err(CliError::Failed(format!(
-                "store {} holds no epochs to watch against",
-                self.baseline.display()
-            )));
-        };
-        let epoch = self.epoch.unwrap_or(latest);
-        if !epochs.contains(&epoch) {
-            return Err(CliError::Failed(format!(
-                "store {} has no epoch {epoch} (epochs: {epochs:?})",
-                self.baseline.display()
-            )));
-        }
+        let epoch = counts_epoch(&snapshot, self.epoch, &self.baseline)?;
         Ok((epoch, analyzer.mix(&snapshot.epoch_aggregate(epoch))))
     }
 

@@ -10,14 +10,20 @@
 
 use hbbp_isa::{Instruction, Mnemonic};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Per-basic-block execution counts, keyed by block start address.
 ///
 /// Counts are `f64` because PMU-derived estimates are extrapolated from
 /// samples (count ≈ samples × period / block_len) and need not be integral.
+///
+/// Clones are cheap and copy-on-write: a clone shares the table with its
+/// original (one reference-count bump), and the first mutation of either
+/// side copies the table once. Handing a stored profile to a reader costs
+/// nothing until someone writes to it.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Bbec {
-    counts: BTreeMap<u64, f64>,
+    counts: Arc<BTreeMap<u64, f64>>,
 }
 
 impl Bbec {
@@ -28,12 +34,12 @@ impl Bbec {
 
     /// Add `weight` executions to the block starting at `addr`.
     pub fn add(&mut self, addr: u64, weight: f64) {
-        *self.counts.entry(addr).or_insert(0.0) += weight;
+        self.extend(std::iter::once((addr, weight)));
     }
 
     /// Set the count of a block.
     pub fn set(&mut self, addr: u64, count: f64) {
-        self.counts.insert(addr, count);
+        Arc::make_mut(&mut self.counts).insert(addr, count);
     }
 
     /// Count for the block starting at `addr` (0 if absent).
@@ -63,16 +69,14 @@ impl Bbec {
 
     /// Multiply every count by `factor` (e.g. period extrapolation).
     pub fn scale(&mut self, factor: f64) {
-        for v in self.counts.values_mut() {
+        for v in Arc::make_mut(&mut self.counts).values_mut() {
             *v *= factor;
         }
     }
 
     /// Merge another table into this one (summing counts).
     pub fn merge(&mut self, other: &Bbec) {
-        for (addr, c) in other.iter() {
-            self.add(addr, c);
-        }
+        self.extend(other.iter());
     }
 
     /// Block addresses present in either table, ascending.
@@ -104,17 +108,17 @@ impl Bbec {
 impl FromIterator<(u64, f64)> for Bbec {
     fn from_iter<T: IntoIterator<Item = (u64, f64)>>(iter: T) -> Bbec {
         let mut b = Bbec::new();
-        for (a, c) in iter {
-            b.add(a, c);
-        }
+        b.extend(iter);
         b
     }
 }
 
 impl Extend<(u64, f64)> for Bbec {
     fn extend<T: IntoIterator<Item = (u64, f64)>>(&mut self, iter: T) {
+        // One copy-on-write check for the whole batch, not one per item.
+        let counts = Arc::make_mut(&mut self.counts);
         for (a, c) in iter {
-            self.add(a, c);
+            *counts.entry(a).or_insert(0.0) += c;
         }
     }
 }
@@ -265,6 +269,50 @@ mod tests {
         assert_eq!(a.get(0x3000), 5.0);
         let addrs: Vec<u64> = a.union_addrs(&b).collect();
         assert_eq!(addrs, vec![0x1000, 0x2000, 0x3000]);
+    }
+
+    /// Every `(addr, count)` entry with the count's exact bits.
+    fn bits(b: &Bbec) -> Vec<(u64, u64)> {
+        b.iter().map(|(a, c)| (a, c.to_bits())).collect()
+    }
+
+    #[test]
+    fn bbec_clones_are_copy_on_write() {
+        let base: Bbec = [(0x1000u64, 1.5), (0x2000u64, 0.1), (0x3000u64, -0.0)]
+            .into_iter()
+            .collect();
+        let other: Bbec = [(0x2000u64, 0.2), (0x4000u64, 7.0)].into_iter().collect();
+        type Mutator = fn(&mut Bbec, &Bbec);
+        let mutators: [(&str, Mutator); 5] = [
+            ("add", |b, _| b.add(0x1000, 0.25)),
+            ("set", |b, _| b.set(0x5000, 3.0)),
+            ("scale", |b, _| b.scale(3.0)),
+            ("merge", |b, o| b.merge(o)),
+            ("extend", |b, o| b.extend(o.iter())),
+        ];
+        for (name, mutate) in mutators {
+            // Mutating a clone leaves the original untouched.
+            let original = base.clone();
+            let mut clone = original.clone();
+            assert_eq!(clone, original, "{name}: clones start equal");
+            mutate(&mut clone, &other);
+            assert_eq!(bits(&original), bits(&base), "{name}: original moved");
+            assert_ne!(bits(&clone), bits(&base), "{name}: clone did not move");
+
+            // Mutating the original leaves the clone untouched.
+            let mut original = base.clone();
+            let clone = original.clone();
+            mutate(&mut original, &other);
+            assert_eq!(bits(&clone), bits(&base), "{name}: clone moved");
+            assert_ne!(
+                bits(&original),
+                bits(&base),
+                "{name}: original did not move"
+            );
+        }
+        // Shared storage must not cost the table its thread-safety.
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<Bbec>();
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::wire::{
     OP_QUERY_TOP, OP_SHUTDOWN, OP_STATS, OP_STREAM, RESP_EPOCHS, RESP_ERR, RESP_INGESTED,
     RESP_METRICS, RESP_MIX, RESP_OK, RESP_STATS,
 };
-use crate::writer::{ShardStats, WriterMsg};
+use crate::writer::{ShardCounts, ShardStats, WriterMsg};
 use hbbp_core::{MixDrift, OnlineAnalyzer, OnlineOutcome};
 use hbbp_obs::{Counter, Gauge, Histogram, Metrics};
 use hbbp_perf::{RecordView, StreamDecoder, StreamStats, ViewSink};
@@ -113,7 +113,7 @@ impl WorkerCtx<'_> {
     }
 }
 
-/// What a snapshot-shaped query renders once all shard snapshots arrive.
+/// What a read query renders once every shard's counts frames arrive.
 enum SnapQuery {
     Mix,
     Top(u32),
@@ -156,11 +156,11 @@ enum ConnState<'a> {
     Ingest(Box<Ingest<'a>>),
     /// Stream complete: submitting results, awaiting the committed seq.
     Commit(Box<CommitState>),
-    /// Mix/top query: awaiting one indexed snapshot per shard.
+    /// Read query: awaiting one indexed counts reply per shard.
     Gather {
-        rx: Receiver<(usize, Snapshot)>,
+        rx: Receiver<ShardCounts>,
         want: usize,
-        got: Vec<(usize, Snapshot)>,
+        got: Vec<ShardCounts>,
         query: SnapQuery,
     },
     /// `OP_STATS`: awaiting one [`ShardStats`] per shard.
@@ -419,7 +419,7 @@ impl<'a> Conn<'a> {
 
     fn start_gather(&mut self, ctx: &WorkerCtx<'a>, query: SnapQuery) {
         let (tx, rx) = std::sync::mpsc::channel();
-        ctx.fan_out(|i| WriterMsg::Snapshot(i, tx.clone()));
+        ctx.fan_out(|i| WriterMsg::ReadCounts(i, tx.clone()));
         self.state = ConnState::Gather {
             rx,
             want: ctx.shards.len(),
@@ -758,8 +758,8 @@ impl<'a> Conn<'a> {
         let mut dead = false;
         loop {
             match rx.try_recv() {
-                Ok(snapshot) => {
-                    got.push(snapshot);
+                Ok(reply) => {
+                    got.push(reply);
                     progress = true;
                 }
                 Err(TryRecvError::Empty) => break,
@@ -779,12 +779,12 @@ impl<'a> Conn<'a> {
             // Shard-index order, not reply-arrival order: compacted fold
             // frames share one `(source, seq)` key, so the stable
             // canonical sort would otherwise preserve a racy interleaving.
-            got.sort_by_key(|(i, _)| *i);
+            got.sort_by_key(|(i, _, _)| *i);
             let mut counts = Vec::new();
             let mut counts_epochs = Vec::new();
-            for (_, snap) in got.drain(..) {
-                counts.extend(snap.counts);
-                counts_epochs.extend(snap.counts_epochs);
+            for (_, shard_counts, shard_epochs) in got.drain(..) {
+                counts.extend(shard_counts);
+                counts_epochs.extend(shard_epochs);
             }
             let combined = Snapshot {
                 identity: None,

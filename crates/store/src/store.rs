@@ -694,6 +694,14 @@ impl ProfileStore {
         }
     }
 
+    /// The counts frames and their epoch stamps — everything a read
+    /// query folds, without the identity or the window timeline. The
+    /// records' [`Bbec`]s share storage with the store's copies, so the
+    /// view costs one reference-count bump per frame.
+    pub(crate) fn counts_view(&self) -> (Vec<CountsRecord>, Vec<u32>) {
+        (self.counts.clone(), self.counts_epochs.clone())
+    }
+
     /// The canonical aggregate profile (see [`Snapshot::aggregate`]).
     pub fn aggregate(&self) -> Bbec {
         self.snapshot().aggregate()

@@ -10,16 +10,19 @@
 //! client that has its `INGESTED` reply knows the counts frame is in
 //! the log.
 //!
-//! Queries are serialized through the same queue, which gives them
-//! read-your-writes consistency per shard for free: the writer commits
-//! everything buffered before serving a snapshot.
+//! Read queries (`QUERY_MIX`, `QUERY_TOP`, `EPOCHS`, `DRIFT`) are
+//! serialized through the same queue, which gives them read-your-writes
+//! consistency per shard for free: the writer commits everything
+//! buffered before answering. The answer is the shard's counts frames
+//! and their epoch stamps only — window frames never leave the writer —
+//! and the frames' counts tables are shared, not copied.
 //!
 //! Shutdown: the writer exits when every sender is gone (workers drop
 //! their clones as they drain), after committing its tail — the
 //! drain-on-shutdown path.
 
-use crate::frame::WindowRecord;
-use crate::store::{ProfileStore, Snapshot};
+use crate::frame::{CountsRecord, WindowRecord};
+use crate::store::ProfileStore;
 use hbbp_obs::{Counter, Gauge, Histogram, Metrics};
 use hbbp_program::Bbec;
 use std::sync::mpsc::{Receiver, Sender};
@@ -44,17 +47,21 @@ pub(crate) enum WriterMsg {
         /// Where the committed `seq` (or error) goes.
         reply: Sender<Result<u32, String>>,
     },
-    /// A consistent view of the shard (pending appends committed first).
-    /// The shard index is echoed back so gathering workers can fold
-    /// partitions in index order — compacted fold frames all share the
-    /// same `(source, seq)` key, so arrival order must not leak into the
-    /// canonical aggregate.
-    Snapshot(usize, Sender<(usize, Snapshot)>),
+    /// The shard's counts frames for a read query (pending appends
+    /// committed first). The shard index is echoed back so gathering
+    /// workers can fold partitions in index order — compacted fold
+    /// frames all share the same `(source, seq)` key, so arrival order
+    /// must not leak into the canonical aggregate.
+    ReadCounts(usize, Sender<ShardCounts>),
     /// Shard statistics (pending appends committed first).
     Stats(Sender<ShardStats>),
     /// Compact the shard's log (pending appends absorbed by the rewrite).
     Compact(Sender<Result<(), String>>),
 }
+
+/// One shard's answer to [`WriterMsg::ReadCounts`]: the shard index,
+/// its counts frames in log order, and each frame's epoch stamp.
+pub(crate) type ShardCounts = (usize, Vec<CountsRecord>, Vec<u32>);
 
 /// One shard's contribution to [`crate::wire::DaemonStats`].
 pub(crate) struct ShardStats {
@@ -124,9 +131,10 @@ pub(crate) fn writer_loop(
                         let _ = reply.send(Err(e.to_string()));
                     }
                 },
-                WriterMsg::Snapshot(shard, reply) => {
+                WriterMsg::ReadCounts(shard, reply) => {
                     commit(&mut store, &mut uncommitted, &metrics, &mut dirty);
-                    let _ = reply.send((shard, store.snapshot()));
+                    let (counts, epochs) = store.counts_view();
+                    let _ = reply.send((shard, counts, epochs));
                 }
                 WriterMsg::Stats(reply) => {
                     commit(&mut store, &mut uncommitted, &metrics, &mut dirty);
