@@ -4,7 +4,7 @@
 //! how the reproduction holds itself to the same standard. It provides a
 //! **lock-free metrics registry** — atomic counters, gauges with
 //! high-water tracking, and fixed-bucket log2 histograms — that `hbbpd`
-//! threads through its acceptor, poll-loop workers, shard writers and
+//! threads through its acceptor, workers, shard writers and
 //! the streaming hot path, so the daemon's own cost under fleet load is
 //! continuously measurable (and pinned by the `instrumentation_overhead`
 //! block of `BENCH_store.json`).
@@ -131,11 +131,11 @@ catalog!(Counter, MetricKind::Counter, COUNTERS;
     AcceptorBacklogRearms => { "acceptor.backlog_rearms", "", false,
         "listen(2) re-arms widening the accept backlog past std's 128" },
     WorkerTicks => { "worker.ticks", "", false,
-        "poll-loop passes across all workers" },
+        "worker passes that drove ready or waiting connections" },
     WorkerConnTicks => { "worker.conn_ticks", "", false,
         "per-connection state-machine steps across all workers" },
     WorkerSleeps => { "worker.sleeps", "", false,
-        "idle sleeps taken after a tick with no progress" },
+        "blocking waits on readiness or a doorbell across all workers" },
     WorkerReadBudgetExhausted => { "worker.read_budget_exhausted", "", false,
         "read passes cut off by the per-tick fairness budget" },
     WorkerParks => { "worker.parks", "", false,
@@ -179,7 +179,7 @@ catalog!(Gauge, MetricKind::Gauge, GAUGES;
 
 catalog!(Histogram, MetricKind::Histogram, HISTOGRAMS;
     WorkerTickScanUs => { "worker.tick_scan_us", "us", false,
-        "microseconds a worker spent scanning live connections (sampled 1 tick in 64)" },
+        "microseconds per worker pass spent driving ready and waiting connections" },
     WriterBatchMessages => { "writer.batch_messages", "messages", false,
         "queue messages folded into one group commit" },
     WriterCommitUs => { "writer.commit_us", "us", false,

@@ -1,12 +1,16 @@
 //! `hbbpd` — the concurrent collection daemon.
 //!
-//! Event-driven: one acceptor thread, a small pool of poll-loop workers
-//! (the `server` module) each multiplexing many **nonblocking**
-//! connections, and one single-writer thread per store shard (the
-//! `writer` module). There is no `Mutex<ProfileStore>` anywhere —
-//! each shard file (`part-<i>.hbbp`, shard = `source % shards`) is
-//! owned outright by its writer, which drains a bounded queue and
-//! group-commits batched appends as single file writes.
+//! Event-driven: one acceptor thread, a small pool of workers (the
+//! `server` module) each multiplexing many **nonblocking** connections
+//! behind one readiness wait (an epoll set plus an eventfd doorbell;
+//! Linux only), and one single-writer thread per store shard (the
+//! `writer` module). Nothing polls on a timer: a worker wakes only when
+//! a socket it watches is ready or its doorbell rings — the acceptor
+//! rings it after queueing a connection, a writer after answering it.
+//! There is no `Mutex<ProfileStore>` anywhere — each shard file
+//! (`part-<i>.hbbp`, shard = `source % shards`) is owned outright by
+//! its writer, which drains a bounded queue and group-commits batched
+//! appends as single file writes.
 //! `docs/DAEMON.md` is the spec for this concurrency model.
 //!
 //! Each [`OP_STREAM`](crate::wire::OP_STREAM) connection is decoded
@@ -36,14 +40,15 @@
 //!
 //! Shutdown ordering (each arrow is "unblocks / joins"): a client's
 //! SHUTDOWN sets the flag and pokes the acceptor → the acceptor stops
-//! accepting and drops the worker inboxes → workers drain their live
-//! connections (force-dropping stragglers after a grace period) and
-//! drop their writer senders → writers drain their queues, commit their
-//! tails and exit → the acceptor joins workers, then writers → the
-//! [`DaemonHandle`] joins the acceptor.
+//! accepting, drops the worker inboxes and rings every doorbell →
+//! workers drain their live connections (force-dropping stragglers
+//! after a grace period) and drop their writer senders → writers drain
+//! their queues, commit their tails and exit → the acceptor joins
+//! workers, then writers → the [`DaemonHandle`] joins the acceptor.
 
 use crate::frame::StoreIdentity;
-use crate::server::worker_loop;
+use crate::poll::{Doorbell, Interest, Poller};
+use crate::server::{worker_loop, BELL_TOKEN};
 use crate::store::{ProfileStore, StoreError};
 use crate::wire::{StoreClient, WireError};
 use crate::writer::{writer_loop, WriterMsg};
@@ -55,12 +60,18 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Default bound of each shard writer's ingest queue (messages).
 pub const DEFAULT_QUEUE_DEPTH: usize = 256;
 
 /// Cap on the auto-sized worker pool (`workers: 0`).
 const MAX_AUTO_WORKERS: usize = 8;
+
+/// Pause after a failed `accept` (other than an interrupt). Errors such
+/// as running out of file descriptors repeat immediately until some
+/// connection closes; retrying at once would pin a core.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Configuration of a daemon instance.
 #[derive(Debug)]
@@ -82,7 +93,7 @@ pub struct DaemonConfig {
     pub shards: usize,
     /// Directory holding the partition files (created if absent).
     pub dir: PathBuf,
-    /// Poll-loop worker threads multiplexing connections; `0` sizes the
+    /// Worker threads multiplexing connections; `0` sizes the
     /// pool automatically (available parallelism, capped at 8).
     pub workers: usize,
     /// Bound of each shard writer's ingest queue, in messages; `0`
@@ -246,14 +257,29 @@ pub fn spawn(config: DaemonConfig) -> Result<DaemonHandle, StoreError> {
         metrics: metrics.clone(),
     });
 
+    // Every worker's epoll set and doorbell exist before any worker
+    // starts: a failure here leaves no thread blocked on a wait that
+    // nobody would ring.
+    let wakes = (0..auto_workers(config.workers))
+        .map(|_| {
+            let poller = Poller::new()?;
+            let bell = Arc::new(Doorbell::new()?);
+            poller.add(&*bell, BELL_TOKEN, Interest::Readable)?;
+            Ok((poller, bell))
+        })
+        .collect::<std::io::Result<Vec<_>>>()?;
     let mut worker_txs: Vec<Sender<TcpStream>> = Vec::new();
+    let mut bells: Vec<Arc<Doorbell>> = Vec::new();
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    for _ in 0..auto_workers(config.workers) {
+    for (poller, bell) in wakes {
         let (tx, rx) = std::sync::mpsc::channel();
         worker_txs.push(tx);
+        bells.push(Arc::clone(&bell));
         let shared = Arc::clone(&shared);
         let shards = shard_txs.clone();
-        workers.push(std::thread::spawn(move || worker_loop(shared, rx, shards)));
+        workers.push(std::thread::spawn(move || {
+            worker_loop(shared, rx, poller, bell, shards)
+        }));
     }
     // The workers hold the only long-lived writer senders: when the last
     // worker drains and exits, the writers see disconnect and exit too.
@@ -265,20 +291,34 @@ pub fn spawn(config: DaemonConfig) -> Result<DaemonHandle, StoreError> {
             if shared.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            let Ok(stream) = stream else { continue };
-            // The poll-loop workers require readiness semantics; nodelay
-            // keeps small replies from waiting on Nagle.
+            let stream = match stream {
+                Ok(stream) => stream,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    std::thread::sleep(ACCEPT_BACKOFF);
+                    continue;
+                }
+            };
+            // The workers require readiness semantics; nodelay keeps
+            // small replies from waiting on Nagle.
             if stream.set_nonblocking(true).is_err() {
                 continue;
             }
             let _ = stream.set_nodelay(true);
             shared.metrics.inc(Counter::AcceptorAccepts);
             // Round-robin connection placement across the pool.
-            let _ = worker_txs[next % worker_txs.len()].send(stream);
+            let worker = next % worker_txs.len();
+            if worker_txs[worker].send(stream).is_ok() {
+                bells[worker].ring();
+            }
             next += 1;
         }
-        // Shutdown ordering: close the inboxes so workers drain...
+        // Shutdown ordering: close the inboxes and wake every worker so
+        // it sees them closed and drains...
         drop(worker_txs);
+        for bell in &bells {
+            bell.ring();
+        }
         for w in workers {
             let _ = w.join();
         }

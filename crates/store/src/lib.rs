@@ -16,8 +16,8 @@
 //!   aggregate profile is a canonical `(source, seq)`-ordered fold that
 //!   is **bit-identical** to folding per-recording batch analyses;
 //! * **`hbbpd`** (the [`daemon`] module and the binary of the same name)
-//!   — an event-driven TCP daemon: a poll-loop worker pool multiplexes
-//!   many nonblocking connections per thread, and each store shard is
+//!   — an event-driven TCP daemon: a worker pool multiplexes many
+//!   nonblocking connections per thread behind epoll readiness waits, and each store shard is
 //!   owned by a single writer thread that group-commits batched appends
 //!   (no locks on the ingest path). Collectors stream perf records in
 //!   the `hbbp-perf` wire codec ([`StoreClient::stream_session`] collects
@@ -76,14 +76,16 @@
 //! wire protocol in [`wire`].
 
 #![deny(missing_docs)]
-// `deny`, not `forbid`: the daemon needs exactly one unsafe call — the
+// `deny`, not `forbid`: the daemon makes raw system calls std has no
+// wrapper for, each behind a scoped `#[allow(unsafe_code)]` — the
 // `listen(2)` re-arm that widens the accept backlog beyond std's
-// hard-coded 128 (see `daemon::widen_accept_backlog`, the only
-// `#[allow(unsafe_code)]` in the crate).
+// hard-coded 128 (`daemon::widen_accept_backlog`), and the epoll set
+// and eventfd doorbells the workers wait on (the `poll` module).
 #![deny(unsafe_code)]
 
 pub mod daemon;
 mod frame;
+mod poll;
 mod server;
 mod store;
 pub mod wire;

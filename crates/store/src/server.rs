@@ -1,32 +1,46 @@
 //! The event-driven connection engine behind `hbbpd`.
 //!
 //! A small pool of workers, each multiplexing many **nonblocking**
-//! connections through a poll loop (std-only readiness: try the socket,
-//! treat `WouldBlock` as "not ready"). Every connection is a state
-//! machine ([`ConnState`]) that tolerates partial reads and writes at
-//! any byte boundary — a client trickling one byte per tick just keeps
-//! its own state machine warm without costing anyone else more than a
-//! failed `read` per tick.
+//! connections. A worker sleeps in one readiness wait (an epoll set,
+//! see the `poll` module) until a socket it watches is ready or its
+//! doorbell rings; it never scans idle connections, so an idle daemon
+//! costs no CPU. Every connection is a state machine ([`ConnState`])
+//! that tolerates partial reads and writes at any byte boundary — a
+//! client trickling one byte at a time costs one wake-up per byte and
+//! nothing while it is silent.
+//!
+//! What a connection is waited on for follows its state
+//! ([`Conn::interest`]): readable while it reads a request or a stream,
+//! writable while it flushes a reply. A connection waiting on a shard
+//! writer (the committed `seq`, a query's counts, stats, a compaction
+//! ack) leaves the epoll set — a hung-up peer would otherwise report
+//! ready forever — and goes on the worker's short waiting list, ticked
+//! after every wake. The writer rings the worker's doorbell once the
+//! answer is in (once per request, however many shards it spans), and
+//! the acceptor rings it after queueing a new connection.
 //!
 //! Fairness and backpressure:
 //!
 //! * each connection gets at most [`READ_BUDGET`] bytes per tick, so a
-//!   fire-hose stream yields to its peers;
+//!   fire-hose stream yields to its peers (the epoll set is
+//!   level-triggered, so the rest is reported again on the next wait);
 //! * parsed results are handed to the shard writers with non-blocking
 //!   sends; when a shard's bounded queue is full, the connection keeps
-//!   its batch locally and — above [`WINDOW_HIGH_WATER`] — stops
-//!   reading until the queue drains (backpressure propagates to the
-//!   client's socket, never to other streams);
+//!   its batch locally, retries within [`RETRY_WAIT`], and — above
+//!   [`WINDOW_HIGH_WATER`] — stops reading until the queue drains
+//!   (backpressure propagates to the client's socket, never to other
+//!   streams);
 //! * a client that never reads its response parks in [`ConnState::Flush`]
 //!   with the bytes buffered; the worker moves on.
 //!
-//! Shutdown: once the acceptor closes the inbox, a worker keeps ticking
-//! until its connections finish, force-dropping stragglers after
-//! [`DRAIN_GRACE_TICKS`] ticks without global progress, then drops its
-//! writer senders so the shard writers drain and exit.
+//! Shutdown: once the acceptor closes the inbox (and rings the
+//! doorbell), a worker keeps serving until its connections finish,
+//! force-dropping stragglers after [`DRAIN_GRACE`] without progress,
+//! then drops its writer senders so the shard writers drain and exit.
 
 use crate::daemon::Shared;
 use crate::frame::WindowRecord;
+use crate::poll::{Doorbell, Event, Interest, Poller};
 use crate::store::{Snapshot, COMPACTED_SOURCE};
 use crate::wire::{
     encode_epochs, encode_ingest, encode_mix, encode_stats, DaemonStats, IngestReply,
@@ -34,13 +48,12 @@ use crate::wire::{
     OP_QUERY_TOP, OP_SHUTDOWN, OP_STATS, OP_STREAM, RESP_EPOCHS, RESP_ERR, RESP_INGESTED,
     RESP_METRICS, RESP_MIX, RESP_OK, RESP_STATS,
 };
-use crate::writer::{ShardCounts, ShardStats, WriterMsg};
+use crate::writer::{Reply, ShardCounts, ShardStats, WriterMsg};
 use hbbp_core::{MixDrift, OnlineAnalyzer, OnlineOutcome};
 use hbbp_obs::{Counter, Gauge, Histogram, Metrics};
 use hbbp_perf::{RecordView, StreamDecoder, StreamStats, ViewSink};
-use hbbp_program::Bbec;
 use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::Arc;
@@ -54,19 +67,29 @@ const READ_BUDGET: usize = 64 * 1024;
 /// is full before its reads are deprioritized (backpressure).
 const WINDOW_HIGH_WATER: usize = 1024;
 
-/// Ticks without any progress before a *draining* worker force-drops
-/// its remaining connections (with the idle sleep this is ≥ ~200 ms of
-/// real time — enough for any live peer to make a byte of progress).
-const DRAIN_GRACE_TICKS: u32 = 2000;
+/// Time without any progress before a *draining* worker force-drops
+/// its remaining connections — enough for any live peer to make a byte
+/// of progress.
+const DRAIN_GRACE: Duration = Duration::from_millis(200);
 
-/// Sleep between ticks when a full pass over every connection made no
-/// progress (nothing readable, writable, or received).
-const IDLE_SLEEP: Duration = Duration::from_micros(100);
+/// Longest wait while a connection holds results a full shard queue
+/// refused: the writers do not signal free queue space, so the worker
+/// retries on this timer.
+const RETRY_WAIT: Duration = Duration::from_millis(1);
+
+/// Ready events taken from the epoll set per wait.
+const EVENTS_PER_WAIT: usize = 256;
+
+/// The epoll token of the worker's doorbell (connection tokens are
+/// their slot indices).
+pub(crate) const BELL_TOKEN: u64 = u64::MAX;
 
 /// Everything a worker needs to drive its connections.
 struct WorkerCtx<'a> {
     shared: &'a Shared,
     shards: &'a [SyncSender<WriterMsg>],
+    /// This worker's doorbell, rung by the writers when they answer.
+    bell: &'a Arc<Doorbell>,
 }
 
 impl WorkerCtx<'_> {
@@ -99,17 +122,22 @@ impl WorkerCtx<'_> {
     }
 
     /// Fan a control message out to every shard writer (the closure gets
-    /// the shard index). Blocking sends: control traffic is rare and a
-    /// writer never blocks on its consumers, so this cannot deadlock —
-    /// at worst it waits for one queue drain. Same inc-before-send
-    /// protocol as [`WorkerCtx::try_send_shard`].
-    fn fan_out(&self, mut make: impl FnMut(usize) -> WriterMsg) {
-        for (i, tx) in self.shards.iter().enumerate() {
+    /// the shard index and that shard's reply handle); returns where the
+    /// answers arrive. The replies share one countdown, so the doorbell
+    /// rings once, after the last shard answers. Blocking sends: control
+    /// traffic is rare and a writer never blocks on its consumers, so
+    /// this cannot deadlock — at worst it waits for one queue drain.
+    /// Same inc-before-send protocol as [`WorkerCtx::try_send_shard`].
+    fn fan_out<T>(&self, make: impl Fn(usize, Reply<T>) -> WriterMsg) -> Receiver<T> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let replies = Reply::fan(&tx, self.bell, self.shards.len());
+        for ((i, shard), reply) in self.shards.iter().enumerate().zip(replies) {
             self.metrics().gauge_shard_inc(Gauge::WriterQueueDepth, i);
-            if tx.send(make(i)).is_err() {
+            if shard.send(make(i, reply)).is_err() {
                 self.metrics().gauge_shard_dec(Gauge::WriterQueueDepth, i);
             }
         }
+        rx
     }
 }
 
@@ -140,9 +168,12 @@ struct Ingest<'a> {
 /// waiting for the committed sequence number.
 struct CommitState {
     windows: Vec<WindowRecord>,
-    counts: Option<(u32, u64, u64, Bbec)>,
+    /// The [`WriterMsg::Counts`] message, until the shard queue takes
+    /// it. Kept whole across retries: dropping its reply handle would
+    /// ring the doorbell.
+    counts: Option<WriterMsg>,
     shard: usize,
-    rx: Option<Receiver<Result<u32, String>>>,
+    rx: Receiver<Result<u32, String>>,
     records: u64,
     samples: u64,
     windows_flushed: u32,
@@ -176,8 +207,14 @@ enum ConnState<'a> {
         seen: usize,
         failed: Option<String>,
     },
-    /// Response queued; writing it out, then closing.
+    /// Response queued; writing it out, then closing (or lingering).
     Flush,
+    /// An error reply went out before the peer finished sending (say, a
+    /// refused `STREAM`): our side is shut down, and the rest of the
+    /// peer's input is discarded until it closes. Closing with unread
+    /// input would reset the connection under a client still writing,
+    /// and it would see a failed write instead of the reply.
+    Linger,
     /// Finished or failed: the connection is dropped by the worker.
     Done,
 }
@@ -191,6 +228,16 @@ struct Conn<'a> {
     out: Vec<u8>,
     out_pos: usize,
     state: ConnState<'a>,
+    /// What the connection is registered in the epoll set for (`None`:
+    /// not in the set).
+    registered: Option<Interest>,
+    /// On the worker's waiting list.
+    listed: bool,
+    /// The peer closed its sending side.
+    peer_closed: bool,
+    /// Linger after the reply instead of closing (see
+    /// [`ConnState::Linger`]).
+    linger: bool,
 }
 
 /// What one read pass produced.
@@ -208,11 +255,54 @@ impl<'a> Conn<'a> {
             out: Vec::new(),
             out_pos: 0,
             state: ConnState::ReadRequest,
+            registered: None,
+            listed: false,
+            peer_closed: false,
+            linger: false,
         }
     }
 
     fn done(&self) -> bool {
         matches!(self.state, ConnState::Done)
+    }
+
+    /// What the worker waits on for this connection: socket readiness,
+    /// or — `None` — nothing the socket can signal (a writer's answer,
+    /// or a parked stream's queue space), so the connection sits on the
+    /// waiting list instead of in the epoll set.
+    fn interest(&self) -> Option<Interest> {
+        match &self.state {
+            ConnState::ReadRequest => Some(Interest::Readable),
+            ConnState::Ingest(i) if !i.parked => Some(Interest::Readable),
+            ConnState::Flush => Some(Interest::Writable),
+            ConnState::Linger => Some(Interest::Readable),
+            _ => None,
+        }
+    }
+
+    /// Holding results a full shard queue refused, to be retried
+    /// within [`RETRY_WAIT`].
+    fn held_back(&self) -> bool {
+        match &self.state {
+            ConnState::Ingest(i) => !i.pending_windows.is_empty(),
+            ConnState::Commit(c) => !c.windows.is_empty() || c.counts.is_some(),
+            _ => false,
+        }
+    }
+
+    /// Drive the connection until its state stops changing — so that,
+    /// say, a gather completed in one tick flushes its reply in the same
+    /// pass. Returns whether anything moved.
+    fn drive(&mut self, ctx: &WorkerCtx<'a>, scratch: &mut [u8], tally: &mut TickCounters) -> bool {
+        let mut progress = false;
+        loop {
+            let before = std::mem::discriminant(&self.state);
+            tally.conn_ticks += 1;
+            progress |= self.tick(ctx, scratch);
+            if self.done() || std::mem::discriminant(&self.state) == before {
+                return progress;
+            }
+        }
     }
 
     /// Read up to [`READ_BUDGET`] bytes into `inbuf`.
@@ -226,6 +316,7 @@ impl<'a> Conn<'a> {
             match self.stream.read(scratch) {
                 Ok(0) => {
                     pass.eof = true;
+                    self.peer_closed = true;
                     break;
                 }
                 Ok(n) => {
@@ -256,6 +347,7 @@ impl<'a> Conn<'a> {
 
     fn respond_err(&mut self, message: &str) {
         self.respond(RESP_ERR, message.as_bytes());
+        self.linger = !self.peer_closed;
     }
 
     /// Drive the connection one step. Returns whether anything moved.
@@ -268,6 +360,7 @@ impl<'a> Conn<'a> {
             ConnState::GatherStats { .. } => self.tick_gather_stats(ctx),
             ConnState::GatherCompact { .. } => self.tick_gather_compact(),
             ConnState::Flush => self.tick_flush(),
+            ConnState::Linger => self.tick_linger(scratch),
             ConnState::Done => false,
         }
     }
@@ -385,8 +478,7 @@ impl<'a> Conn<'a> {
                 );
             }
             OP_STATS => {
-                let (tx, rx) = std::sync::mpsc::channel();
-                ctx.fan_out(|_| WriterMsg::Stats(tx.clone()));
+                let rx = ctx.fan_out(|_, reply| WriterMsg::Stats(reply));
                 self.state = ConnState::GatherStats {
                     rx,
                     want: ctx.shards.len(),
@@ -394,8 +486,7 @@ impl<'a> Conn<'a> {
                 };
             }
             OP_COMPACT => {
-                let (tx, rx) = std::sync::mpsc::channel();
-                ctx.fan_out(|_| WriterMsg::Compact(tx.clone()));
+                let rx = ctx.fan_out(|_, reply| WriterMsg::Compact(reply));
                 self.state = ConnState::GatherCompact {
                     rx,
                     want: ctx.shards.len(),
@@ -418,8 +509,7 @@ impl<'a> Conn<'a> {
     }
 
     fn start_gather(&mut self, ctx: &WorkerCtx<'a>, query: SnapQuery) {
-        let (tx, rx) = std::sync::mpsc::channel();
-        ctx.fan_out(|i| WriterMsg::ReadCounts(i, tx.clone()));
+        let rx = ctx.fan_out(WriterMsg::ReadCounts);
         self.state = ConnState::Gather {
             rx,
             want: ctx.shards.len(),
@@ -641,16 +731,19 @@ impl<'a> Conn<'a> {
                 });
             }
         }
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reply = Reply::fan(&tx, ctx.bell, 1).pop().expect("one reply");
         self.state = ConnState::Commit(Box::new(CommitState {
             windows: pending_windows,
-            counts: Some((
+            counts: Some(WriterMsg::Counts {
                 source,
-                whole_window.ebs_samples,
-                whole_window.lbr_samples,
-                whole_window.analysis.hbbp.bbec,
-            )),
+                ebs_samples: whole_window.ebs_samples,
+                lbr_samples: whole_window.lbr_samples,
+                bbec: whole_window.analysis.hbbp.bbec,
+                reply,
+            }),
             shard: ctx.shard_of(source),
-            rx: None,
+            rx,
             records,
             samples,
             windows_flushed,
@@ -685,63 +778,40 @@ impl<'a> Conn<'a> {
                 Err(_) => unreachable!("windows come back as windows"),
             }
         }
-        if let Some((source, ebs, lbr, bbec)) = commit.counts.take() {
-            let (tx, rx) = std::sync::mpsc::channel();
-            match ctx.try_send_shard(
-                commit.shard,
-                WriterMsg::Counts {
-                    source,
-                    ebs_samples: ebs,
-                    lbr_samples: lbr,
-                    bbec,
-                    reply: tx,
-                },
-            ) {
-                Ok(()) => {
-                    commit.rx = Some(rx);
-                    progress = true;
-                }
-                Err(TrySendError::Full(WriterMsg::Counts {
-                    source,
-                    ebs_samples,
-                    lbr_samples,
-                    bbec,
-                    ..
-                })) => {
-                    commit.counts = Some((source, ebs_samples, lbr_samples, bbec));
+        if let Some(counts) = commit.counts.take() {
+            match ctx.try_send_shard(commit.shard, counts) {
+                Ok(()) => progress = true,
+                Err(TrySendError::Full(counts)) => {
+                    commit.counts = Some(counts);
                     return progress;
                 }
                 Err(TrySendError::Disconnected(_)) => {
                     self.respond_err("shard writer gone");
                     return true;
                 }
-                Err(_) => unreachable!("counts come back as counts"),
             }
         }
-        if let Some(rx) = &commit.rx {
-            match rx.try_recv() {
-                Ok(Ok(seq)) => {
-                    let payload = encode_ingest(&IngestReply {
-                        records: commit.records,
-                        samples: commit.samples,
-                        windows_flushed: commit.windows_flushed,
-                        counts_seq: seq,
-                    });
-                    self.respond(RESP_INGESTED, &payload);
-                    return true;
-                }
-                Ok(Err(m)) => {
-                    self.respond_err(&m);
-                    return true;
-                }
-                Err(TryRecvError::Empty) => {}
-                Err(TryRecvError::Disconnected) => {
-                    self.respond_err("shard writer gone");
-                    return true;
-                }
+        match commit.rx.try_recv() {
+            Ok(Ok(seq)) => {
+                let payload = encode_ingest(&IngestReply {
+                    records: commit.records,
+                    samples: commit.samples,
+                    windows_flushed: commit.windows_flushed,
+                    counts_seq: seq,
+                });
+                self.respond(RESP_INGESTED, &payload);
+                true
+            }
+            Ok(Err(m)) => {
+                self.respond_err(&m);
+                true
+            }
+            Err(TryRecvError::Empty) => progress,
+            Err(TryRecvError::Disconnected) => {
+                self.respond_err("shard writer gone");
+                true
             }
         }
-        progress
     }
 
     fn tick_gather(&mut self, ctx: &WorkerCtx<'a>) -> bool {
@@ -949,23 +1019,30 @@ impl<'a> Conn<'a> {
             }
         }
         let _ = self.stream.flush();
-        self.state = ConnState::Done;
+        self.state = if self.linger {
+            let _ = self.stream.shutdown(Shutdown::Write);
+            ConnState::Linger
+        } else {
+            ConnState::Done
+        };
         true
+    }
+
+    fn tick_linger(&mut self, scratch: &mut [u8]) -> bool {
+        let pass = self.read_pass(scratch);
+        self.inbuf.clear();
+        if pass.eof || pass.failed {
+            self.state = ConnState::Done;
+            return true;
+        }
+        pass.bytes > 0
     }
 }
 
-/// Ticks between flushes of a worker's locally batched tick counters
-/// into the registry — the poll loop never pays an atomic per tick.
-const TICK_FLUSH_EVERY: u64 = 1024;
-
-/// Connection-scan ticks between `worker.tick_scan_us` observations
-/// (must divide [`TICK_FLUSH_EVERY`] so the sampling phase survives
-/// tick-counter resets).
-const SCAN_SAMPLE_EVERY: u64 = 64;
-
-/// A worker's locally batched tick counters (flushed every
-/// [`TICK_FLUSH_EVERY`] ticks and at exit, so an idle-spinning pool
-/// costs the registry nothing per tick).
+/// A worker's locally batched tick counters, flushed into the registry
+/// before every blocking wait (and at exit) — a pass never pays an
+/// atomic per connection tick, and an idle worker's counters are
+/// always current.
 #[derive(Default)]
 struct TickCounters {
     ticks: u64,
@@ -982,101 +1059,208 @@ impl TickCounters {
     }
 }
 
-/// One worker: adopt connections from the inbox, tick them all, sleep
-/// when idle, drain on shutdown.
+/// One worker's connections, in slots indexed by their epoll token.
+struct Worker<'a> {
+    poller: Poller,
+    slots: Vec<Option<Conn<'a>>>,
+    free: Vec<usize>,
+    live: usize,
+    /// Slots ticked after every wake: connections waiting on a writer,
+    /// parked, or holding results a full queue refused.
+    waiting: Vec<usize>,
+    metrics: Metrics,
+    tally: TickCounters,
+}
+
+impl<'a> Worker<'a> {
+    /// Take over a freshly accepted connection, waiting for its request.
+    fn adopt(&mut self, stream: TcpStream) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() - 1
+        });
+        if self
+            .poller
+            .add(&stream, slot as u64, Interest::Readable)
+            .is_err()
+        {
+            // Out of kernel memory for the epoll set: refuse the
+            // connection rather than serve it blind.
+            self.free.push(slot);
+            return;
+        }
+        let mut conn = Conn::new(stream);
+        conn.registered = Some(Interest::Readable);
+        self.slots[slot] = Some(conn);
+        self.live += 1;
+        self.metrics.gauge_inc(Gauge::WorkerConnections);
+    }
+
+    /// Drive one connection, then bring its epoll registration and
+    /// waiting-list entry in line with its new state (or drop it once
+    /// done). Returns whether anything moved.
+    fn drive(&mut self, ctx: &WorkerCtx<'a>, slot: usize, scratch: &mut [u8]) -> bool {
+        let Some(conn) = self.slots.get_mut(slot).and_then(Option::as_mut) else {
+            return false;
+        };
+        let progress = conn.drive(ctx, scratch, &mut self.tally);
+        let want = conn.interest();
+        let registered = match (conn.done(), conn.registered, want) {
+            // Closing a socket removes it from the set, so a finished
+            // connection needs no `delete`.
+            (true, ..) => false,
+            (false, from, to) if from == to => true,
+            (false, None, Some(to)) => self.poller.add(&conn.stream, slot as u64, to).is_ok(),
+            (false, Some(_), Some(to)) => self.poller.modify(&conn.stream, slot as u64, to).is_ok(),
+            (false, Some(_), None) => self.poller.delete(&conn.stream).is_ok(),
+            (false, None, None) => unreachable!("equal interests matched above"),
+        };
+        if !registered {
+            self.release(slot);
+            return true;
+        }
+        conn.registered = want;
+        if (want.is_none() || conn.held_back()) && !conn.listed {
+            conn.listed = true;
+            self.waiting.push(slot);
+        }
+        progress
+    }
+
+    /// Drop a connection, settling the gauges it holds.
+    fn release(&mut self, slot: usize) {
+        let Some(conn) = self.slots[slot].take() else {
+            return;
+        };
+        self.free.push(slot);
+        self.live -= 1;
+        self.metrics.gauge_dec(Gauge::WorkerConnections);
+        if let ConnState::Ingest(i) = &conn.state {
+            if i.parked {
+                self.metrics.gauge_dec(Gauge::WorkerParkedConnections);
+            }
+        }
+    }
+
+    /// Whether a listed connection holds results a full queue refused.
+    fn retry_due(&self) -> bool {
+        self.waiting
+            .iter()
+            .any(|&slot| self.slots[slot].as_ref().is_some_and(Conn::held_back))
+    }
+}
+
+/// One worker: wait for readiness or the doorbell, adopt connections
+/// from the inbox, drive whatever is ready, drain on shutdown.
 pub(crate) fn worker_loop(
     shared: Arc<Shared>,
     inbox: Receiver<TcpStream>,
+    poller: Poller,
+    bell: Arc<Doorbell>,
     shards: Vec<SyncSender<WriterMsg>>,
 ) {
     let shared: &Shared = &shared;
     let ctx = WorkerCtx {
         shared,
         shards: &shards,
+        bell: &bell,
     };
-    let metrics = shared.metrics.clone();
-    let mut conns: Vec<Conn<'_>> = Vec::new();
+    let mut worker = Worker {
+        poller,
+        slots: Vec::new(),
+        free: Vec::new(),
+        live: 0,
+        waiting: Vec::new(),
+        metrics: shared.metrics.clone(),
+        tally: TickCounters::default(),
+    };
+    let mut events = vec![Event::default(); EVENTS_PER_WAIT];
     let mut scratch = vec![0u8; READ_BUDGET];
-    let mut draining = false;
-    let mut idle_ticks = 0u32;
-    let mut tallies = TickCounters::default();
+    // Set once the inbox closes: when the drain last made progress.
+    let mut draining: Option<Instant> = None;
     loop {
-        tallies.ticks += 1;
-        if tallies.ticks >= TICK_FLUSH_EVERY {
-            tallies.flush(&metrics);
+        // No timer unless a connection must retry a full queue or the
+        // drain grace is running out.
+        let mut timeout = worker.retry_due().then_some(RETRY_WAIT);
+        if let Some(since) = draining {
+            let left = DRAIN_GRACE.saturating_sub(since.elapsed());
+            timeout = Some(timeout.map_or(left, |t| t.min(left)));
         }
+        worker.tally.sleeps += 1;
+        worker.tally.flush(&worker.metrics);
+        let ready = worker
+            .poller
+            .wait(&mut events, timeout)
+            .expect("epoll_wait on a valid set");
+        let scan_start = worker.metrics.enabled().then(Instant::now);
+        let mut ticked = false;
         let mut progress = false;
-        if !draining {
-            loop {
+        // The doorbell first: a ring that lands after this drain stays
+        // pending for the next wait, so an answer that arrives while
+        // the waiting list is ticked below is never missed.
+        if ready.iter().any(|event| event.token() == BELL_TOKEN) {
+            bell.drain();
+            while draining.is_none() {
                 match inbox.try_recv() {
                     Ok(stream) => {
-                        conns.push(Conn::new(stream));
-                        metrics.gauge_inc(Gauge::WorkerConnections);
+                        worker.adopt(stream);
                         progress = true;
                     }
                     Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        draining = true;
-                        break;
-                    }
+                    Err(TryRecvError::Disconnected) => draining = Some(Instant::now()),
                 }
             }
         }
-        // Scan time is sampled 1 tick in 64: a busy pool ticks every
-        // microsecond or so, and paying two clock reads plus a shared
-        // histogram cache line per tick per worker is measurable at
-        // that rate. Busy-tick durations vary slowly, so the sampled
-        // distribution stays representative.
-        let scan_start =
-            (!conns.is_empty() && tallies.ticks % SCAN_SAMPLE_EVERY == 0 && metrics.enabled())
-                .then(Instant::now);
-        for conn in &mut conns {
-            tallies.conn_ticks += 1;
-            progress |= conn.tick(&ctx, &mut scratch);
+        for slot in std::mem::take(&mut worker.waiting) {
+            if let Some(conn) = worker.slots[slot].as_mut() {
+                conn.listed = false;
+                ticked = true;
+                progress |= worker.drive(&ctx, slot, &mut scratch);
+            }
         }
-        if let Some(start) = scan_start {
-            metrics.observe(
-                Histogram::WorkerTickScanUs,
-                start.elapsed().as_micros() as u64,
-            );
+        for event in ready.iter().filter(|event| event.token() != BELL_TOKEN) {
+            let slot = event.token() as usize;
+            // A waiting connection's stale event (it left the set after
+            // this wait returned) is not a readiness signal.
+            let registered = worker
+                .slots
+                .get(slot)
+                .and_then(Option::as_ref)
+                .is_some_and(|c| c.registered.is_some());
+            if registered {
+                ticked = true;
+                progress |= worker.drive(&ctx, slot, &mut scratch);
+            }
         }
-        let before = conns.len();
-        conns.retain(|c| !c.done());
-        for _ in conns.len()..before {
-            metrics.gauge_dec(Gauge::WorkerConnections);
+        if ticked {
+            worker.tally.ticks += 1;
+            if let Some(start) = scan_start {
+                worker.metrics.observe(
+                    Histogram::WorkerTickScanUs,
+                    start.elapsed().as_micros() as u64,
+                );
+            }
         }
-        if draining {
-            if conns.is_empty() {
+        if let Some(since) = &mut draining {
+            if worker.live == 0 {
                 break;
             }
             if progress {
-                idle_ticks = 0;
-            } else {
-                idle_ticks += 1;
-                if idle_ticks >= DRAIN_GRACE_TICKS {
-                    // Stragglers (stalled clients, never-reading peers)
-                    // are dropped; everything they completed is already
-                    // with the writers.
-                    break;
-                }
+                *since = Instant::now();
+            } else if since.elapsed() >= DRAIN_GRACE {
+                // Stragglers (stalled clients, never-reading peers) are
+                // dropped; everything they completed is already with
+                // the writers.
+                break;
             }
-        }
-        if !progress {
-            tallies.sleeps += 1;
-            std::thread::sleep(IDLE_SLEEP);
         }
     }
     // Force-dropped stragglers: settle the gauges they still hold so a
     // restart-free observer never sees phantom connections.
-    for conn in &conns {
-        metrics.gauge_dec(Gauge::WorkerConnections);
-        if let ConnState::Ingest(i) = &conn.state {
-            if i.parked {
-                metrics.gauge_dec(Gauge::WorkerParkedConnections);
-            }
-        }
+    for slot in 0..worker.slots.len() {
+        worker.release(slot);
     }
-    tallies.flush(&metrics);
+    worker.tally.flush(&worker.metrics);
     // `shards` drops here: when the last worker exits, the writers see
     // their queues disconnect, commit their tails, and exit.
 }
@@ -1133,9 +1317,11 @@ mod tests {
         tx.send(WriterMsg::Windows(Vec::new()))
             .expect("stuff queue");
         let shards = vec![tx];
+        let bell = Arc::new(Doorbell::new().expect("eventfd"));
         let ctx = WorkerCtx {
             shared: &shared,
             shards: &shards,
+            bell: &bell,
         };
 
         // Keep the client end alive so reads yield WouldBlock, not EOF.

@@ -17,16 +17,71 @@
 //! and their epoch stamps only — window frames never leave the writer —
 //! and the frames' counts tables are shared, not copied.
 //!
+//! Every answer goes back through a [`Reply`], which rings the asking
+//! worker's doorbell once the answer is in its channel — once per
+//! request, even when the request was fanned out to every shard.
+//!
 //! Shutdown: the writer exits when every sender is gone (workers drop
 //! their clones as they drain), after committing its tail — the
 //! drain-on-shutdown path.
 
 use crate::frame::{CountsRecord, WindowRecord};
+use crate::poll::Doorbell;
 use crate::store::ProfileStore;
 use hbbp_obs::{Counter, Gauge, Histogram, Metrics};
 use hbbp_program::Bbec;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
+use std::sync::Arc;
 use std::time::Instant;
+
+/// Where a writer's answer goes: a channel back to the asking worker,
+/// plus that worker's doorbell.
+///
+/// The replies of one request share a countdown: a request fanned out
+/// to every shard rings the doorbell once, when the last shard answers,
+/// so the gathering worker wakes once per query rather than once per
+/// shard. A reply dropped unsent (its writer failed) counts down too —
+/// after closing its channel end, so the woken worker sees the shard
+/// gone instead of waiting for an answer that never comes.
+pub(crate) struct Reply<T> {
+    tx: Option<Sender<T>>,
+    bell: Arc<Doorbell>,
+    outstanding: Arc<AtomicUsize>,
+}
+
+impl<T> Reply<T> {
+    /// The `n` replies of one request answered on `tx`.
+    pub(crate) fn fan(tx: &Sender<T>, bell: &Arc<Doorbell>, n: usize) -> Vec<Reply<T>> {
+        let outstanding = Arc::new(AtomicUsize::new(n));
+        (0..n)
+            .map(|_| Reply {
+                tx: Some(tx.clone()),
+                bell: Arc::clone(bell),
+                outstanding: Arc::clone(&outstanding),
+            })
+            .collect()
+    }
+
+    /// Answer; the doorbell rings if this was the request's last reply.
+    pub(crate) fn send(mut self, value: T) {
+        if let Some(tx) = self.tx.take() {
+            let _ = tx.send(value);
+        }
+    }
+}
+
+impl<T> Drop for Reply<T> {
+    fn drop(&mut self) {
+        drop(self.tx.take());
+        // AcqRel: each reply's send (or channel close) is released by
+        // its own count-down, and the last count-down acquires them all
+        // before ringing, so the woken worker finds every answer.
+        if self.outstanding.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.bell.ring();
+        }
+    }
+}
 
 /// Messages a shard writer consumes, in arrival order.
 pub(crate) enum WriterMsg {
@@ -45,18 +100,18 @@ pub(crate) enum WriterMsg {
         /// The whole-stream analysis (bit-exact `f64` counts).
         bbec: Bbec,
         /// Where the committed `seq` (or error) goes.
-        reply: Sender<Result<u32, String>>,
+        reply: Reply<Result<u32, String>>,
     },
     /// The shard's counts frames for a read query (pending appends
     /// committed first). The shard index is echoed back so gathering
     /// workers can fold partitions in index order — compacted fold
     /// frames all share the same `(source, seq)` key, so arrival order
     /// must not leak into the canonical aggregate.
-    ReadCounts(usize, Sender<ShardCounts>),
+    ReadCounts(usize, Reply<ShardCounts>),
     /// Shard statistics (pending appends committed first).
-    Stats(Sender<ShardStats>),
+    Stats(Reply<ShardStats>),
     /// Compact the shard's log (pending appends absorbed by the rewrite).
-    Compact(Sender<Result<(), String>>),
+    Compact(Reply<Result<(), String>>),
 }
 
 /// One shard's answer to [`WriterMsg::ReadCounts`]: the shard index,
@@ -86,7 +141,7 @@ pub(crate) fn writer_loop(
     shard: usize,
 ) {
     // Ingest replies withheld until the commit that makes them true.
-    let mut uncommitted: Vec<(Sender<Result<u32, String>>, u32)> = Vec::new();
+    let mut uncommitted: Vec<(Reply<Result<u32, String>>, u32)> = Vec::new();
     let mut batch: Vec<WriterMsg> = Vec::new();
     // Deferred appends are pending (the commit will actually write).
     let mut dirty = false;
@@ -127,18 +182,16 @@ pub(crate) fn writer_loop(
                         dirty = true;
                         uncommitted.push((reply, seq));
                     }
-                    Err(e) => {
-                        let _ = reply.send(Err(e.to_string()));
-                    }
+                    Err(e) => reply.send(Err(e.to_string())),
                 },
                 WriterMsg::ReadCounts(shard, reply) => {
                     commit(&mut store, &mut uncommitted, &metrics, &mut dirty);
                     let (counts, epochs) = store.counts_view();
-                    let _ = reply.send((shard, counts, epochs));
+                    reply.send((shard, counts, epochs));
                 }
                 WriterMsg::Stats(reply) => {
                     commit(&mut store, &mut uncommitted, &metrics, &mut dirty);
-                    let _ = reply.send(ShardStats {
+                    reply.send(ShardStats {
                         counts_frames: store.counts().len() as u64,
                         window_frames: store.windows().len() as u64,
                         bytes: store.file_bytes(),
@@ -147,7 +200,7 @@ pub(crate) fn writer_loop(
                 }
                 WriterMsg::Compact(reply) => {
                     commit(&mut store, &mut uncommitted, &metrics, &mut dirty);
-                    let _ = reply.send(store.compact().map_err(|e| e.to_string()));
+                    reply.send(store.compact().map_err(|e| e.to_string()));
                 }
             }
         }
@@ -162,7 +215,7 @@ pub(crate) fn writer_loop(
 
 fn commit(
     store: &mut ProfileStore,
-    uncommitted: &mut Vec<(Sender<Result<u32, String>>, u32)>,
+    uncommitted: &mut Vec<(Reply<Result<u32, String>>, u32)>,
     metrics: &Metrics,
     dirty: &mut bool,
 ) {
@@ -187,6 +240,49 @@ fn commit(
         store.commit().map_err(|e| e.to_string())
     };
     for (reply, seq) in uncommitted.drain(..) {
-        let _ = reply.send(result.clone().map(|()| seq));
+        reply.send(result.clone().map(|()| seq));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A request fanned out to N shards rings the doorbell exactly
+    /// once, after the last shard's answer is in the channel.
+    #[test]
+    fn fan_out_rings_once_after_the_last_reply() {
+        const SHARDS: usize = 4;
+        let bell = Arc::new(Doorbell::new().expect("eventfd"));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let replies = Reply::fan(&tx, &bell, SHARDS);
+        drop(tx);
+        for (i, reply) in replies.into_iter().enumerate() {
+            assert_eq!(bell.drain(), 0, "silent before reply {i} of {SHARDS}");
+            reply.send(i);
+        }
+        assert_eq!(bell.drain(), 1, "one ring for the whole fan-out");
+        let got: Vec<usize> = rx.try_iter().collect();
+        assert_eq!(got, (0..SHARDS).collect::<Vec<_>>(), "every answer arrived");
+    }
+
+    /// A reply dropped unsent still counts down, and its channel end is
+    /// closed by the time the doorbell rings.
+    #[test]
+    fn a_dropped_reply_rings_with_its_channel_closed() {
+        let bell = Arc::new(Doorbell::new().expect("eventfd"));
+        let (tx, rx) = std::sync::mpsc::channel::<u32>();
+        let mut replies = Reply::fan(&tx, &bell, 2);
+        drop(tx);
+        let unsent = replies.pop().expect("second");
+        replies.pop().expect("first").send(7);
+        assert_eq!(bell.drain(), 0, "one reply still outstanding");
+        drop(unsent);
+        assert_eq!(bell.drain(), 1);
+        assert_eq!(rx.try_recv(), Ok(7));
+        assert_eq!(
+            rx.try_recv(),
+            Err(std::sync::mpsc::TryRecvError::Disconnected)
+        );
     }
 }
