@@ -9,13 +9,12 @@
 //! mnemonic mixes and pivot tables, and performs the kernel-text patch
 //! step of §III.C before the map is built (see [`Analyzer::from_images`]).
 
-use crate::{ebs, hybrid, lbr, EbsEstimate, HbbpEstimate, HybridRule, LbrEstimate, LbrOptions};
+use crate::{EbsEstimate, HbbpEstimate, HybridRule, LbrEstimate, LbrOptions, OnlineAnalyzer};
 use crate::{Field, PivotTable, SamplingPeriods};
 use hbbp_perf::PerfData;
 use hbbp_program::{
     Bbec, BlockMap, DiscoverError, MnemonicMix, Ring, StaticBlock, SymbolInfo, TextImage,
 };
-use hbbp_sim::EventSpec;
 use std::collections::HashMap;
 
 /// The analysis engine for one workload's images.
@@ -92,11 +91,9 @@ impl Analyzer {
         &self.lbr_options
     }
 
-    /// Run all three estimators in a **single pass** over the recording:
-    /// each sample record is dispatched once to the EBS or LBR accumulator
-    /// by event, instead of the seed's two independent full scans with
-    /// per-event filtering. Estimation itself runs in block-index
-    /// coordinates (dense tables + page-indexed block lookups).
+    /// Run all three estimators in a **single pass** over an in-memory
+    /// recording: an unwindowed [`OnlineAnalyzer`] — the same driver a
+    /// file, a socket or a live session feeds — takes each sample in turn.
     ///
     /// Pinned bit-identical to the seed two-scan, address-keyed pipeline
     /// (`hbbp_oracle::analyze_ref`) by `crates/core/tests/dense_equivalence.rs`.
@@ -106,21 +103,14 @@ impl Analyzer {
         periods: SamplingPeriods,
         rule: &HybridRule,
     ) -> Analysis {
-        let ebs_event = EventSpec::inst_retired_prec_dist();
-        let lbr_event = EventSpec::br_inst_retired_near_taken();
-        let mut ebs_acc = ebs::EbsAccum::new(&self.map, periods.ebs);
-        let mut lbr_acc = lbr::LbrAccum::new(&self.map, periods.lbr, self.lbr_options.clone());
+        let mut online = OnlineAnalyzer::new(self, periods, rule.clone());
         for sample in data.samples() {
-            if sample.event == ebs_event {
-                ebs_acc.observe(sample);
-            } else if sample.event == lbr_event {
-                lbr_acc.observe(sample);
-            }
+            online.push_sample(sample);
         }
-        let ebs = ebs_acc.finish();
-        let lbr = lbr_acc.finish();
-        let hbbp = hybrid::combine(&self.map, &ebs, &lbr, rule);
-        Analysis { ebs, lbr, hbbp }
+        online
+            .finish()
+            .into_analysis()
+            .expect("an unwindowed run emits one analysis")
     }
 
     /// Derive the instruction mix from a BBEC ("If we know how many times a

@@ -10,7 +10,7 @@
 //! IPs resolve through the map's page-indexed [`BlockMap::enclosing`], so
 //! the hot loop performs no hashing.
 
-use hbbp_perf::{PerfData, PerfSample};
+use hbbp_perf::PerfData;
 use hbbp_program::{Bbec, BlockMap, DenseBbec};
 use hbbp_sim::EventSpec;
 use std::collections::HashMap;
@@ -45,12 +45,12 @@ impl EbsEstimate {
     }
 }
 
-/// Streaming EBS accumulator: feed it `INST_RETIRED:PREC_DIST` samples one
-/// at a time (event filtering is the caller's job), then [`finish`] into
-/// an [`EbsEstimate`]. This is the building block the fused single-pass
-/// analyzer dispatches into.
+/// Streaming EBS accumulator: feed it the eventing IPs of
+/// `INST_RETIRED:PREC_DIST` samples one at a time (event filtering is the
+/// caller's job), then [`take_estimate`] into an [`EbsEstimate`]. This is
+/// the building block [`crate::OnlineAnalyzer`] dispatches into.
 ///
-/// [`finish`]: EbsAccum::finish
+/// [`take_estimate`]: EbsAccum::take_estimate
 #[derive(Debug, Clone)]
 pub(crate) struct EbsAccum<'m> {
     map: &'m BlockMap,
@@ -72,13 +72,7 @@ impl<'m> EbsAccum<'m> {
     }
 
     /// Attribute one sample's eventing IP. Attached LBR stacks are
-    /// **discarded** (paper §V.A).
-    pub(crate) fn observe(&mut self, sample: &PerfSample) {
-        self.observe_ip(sample.ip);
-    }
-
-    /// [`observe`](EbsAccum::observe) without the sample wrapper — the
-    /// zero-copy view path has no `PerfSample` to hand over.
+    /// **discarded** (paper §V.A), so the sample itself is not needed.
     pub(crate) fn observe_ip(&mut self, ip: u64) {
         match self.map.enclosing(ip) {
             Some(bi) => {
@@ -89,14 +83,10 @@ impl<'m> EbsAccum<'m> {
         }
     }
 
-    pub(crate) fn finish(mut self) -> EbsEstimate {
-        self.take_estimate()
-    }
-
-    /// Produce the estimate of everything observed so far and reset the
-    /// accumulator in place, keeping its allocations — the windowed online
-    /// analyzer calls this once per window instead of building a fresh
-    /// accumulator (and tally vector) each time.
+    /// Produce the [`EbsEstimate`] of everything observed so far and reset
+    /// the accumulator in place, keeping its allocations — the windowed
+    /// online analyzer calls this once per window instead of building a
+    /// fresh accumulator (and tally vector) each time.
     pub(crate) fn take_estimate(&mut self) -> EbsEstimate {
         let mut dense = DenseBbec::for_map(self.map);
         let mut bbec = Bbec::new();
@@ -136,9 +126,9 @@ impl<'m> EbsAccum<'m> {
 pub fn estimate(data: &PerfData, map: &BlockMap, period: u64) -> EbsEstimate {
     let mut acc = EbsAccum::new(map, period);
     for sample in data.samples_of(EventSpec::inst_retired_prec_dist()) {
-        acc.observe(sample);
+        acc.observe_ip(sample.ip);
     }
-    acc.finish()
+    acc.take_estimate()
 }
 
 #[cfg(test)]

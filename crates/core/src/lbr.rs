@@ -11,9 +11,12 @@
 //! uses an epoch-stamped bitset (O(1) per entry); per-block weights are
 //! vectors indexed by [`BlockMap`] block index; stream walks reuse one
 //! buffer through [`BlockMap::walk_stream_into`], with small direct-mapped
-//! branch and stream caches in front of the hot lookups.
+//! branch and stream caches in front of the hot lookups. Pass 2 needs the
+//! usable stacks again, so the caller keeps them: one exact-size `Vec`
+//! per stack in [`crate::OnlineAnalyzer`] (the one analysis driver), or
+//! borrowed slices of an in-memory recording in [`estimate`].
 
-use hbbp_perf::{PerfData, PerfSample};
+use hbbp_perf::PerfData;
 use hbbp_program::{Bbec, BlockMap, DenseBbec};
 use hbbp_sim::{EventSpec, LbrEntry};
 use std::collections::{HashMap, HashSet};
@@ -110,14 +113,8 @@ const STREAM_CACHE_BITS: u32 = 10;
 /// occupancy, appearances, per-stack presence) stream in through
 /// [`LbrStats::observe_stack`]; pass 2 (stream decomposition and
 /// attribution, which needs the finished bias verdicts) runs in
-/// [`LbrStats::finish`] over whatever stack storage the caller kept.
-///
-/// Two callers wrap it: [`LbrAccum`] buffers stacks **by reference** (the
-/// whole recording is in memory anyway — the fused batch path), and the
-/// online analyzer buffers **owned** copies of just the stacks (the
-/// bounded-memory streaming path, where the recording itself is never
-/// materialized). Both feed `finish` the same stack sequence, so results
-/// are bit-identical.
+/// [`LbrStats::take_estimate`] over whatever stack storage the caller
+/// kept (see the module docs).
 ///
 /// Branch identity exploits the block map: a well-formed LBR source is a
 /// block **terminator** address, so its block index doubles as its branch
@@ -215,7 +212,7 @@ impl<'m> LbrStats<'m> {
         id
     }
 
-    /// Address of a branch id (inverse of [`LbrAccum::intern`]).
+    /// Address of a branch id (inverse of `intern`).
     fn id_addr(&self, id: usize) -> u64 {
         match id.checked_sub(self.map.len()) {
             Some(ordinal) => self.overflow_addrs[ordinal],
@@ -226,7 +223,7 @@ impl<'m> LbrStats<'m> {
     /// Ingest one stack's pass-1 statistics (the sample's eventing IP is
     /// **discarded**, paper §V.A). Returns `true` when the stack is usable
     /// for pass-2 stream attribution (≥ 2 entries) — the caller must then
-    /// keep the stack and replay it to [`LbrStats::finish`].
+    /// keep the stack and replay it to [`LbrStats::take_estimate`].
     pub(crate) fn observe_stack(&mut self, entries: &[LbrEntry]) -> bool {
         if entries.is_empty() {
             return false;
@@ -262,18 +259,9 @@ impl<'m> LbrStats<'m> {
     /// Pass 2: judge branch bias from the pass-1 statistics, then walk and
     /// attribute the streams of `stacks` — which must be exactly the
     /// stacks [`LbrStats::observe_stack`] returned `true` for, in
-    /// observation order.
-    pub(crate) fn finish<'a, I>(mut self, stacks: I) -> LbrEstimate
-    where
-        I: IntoIterator<Item = &'a [LbrEntry]>,
-    {
-        self.take_estimate(stacks)
-    }
-
-    /// [`finish`](LbrStats::finish) without consuming: produce the
-    /// estimate, then reset every pass-1 statistic in place so the
-    /// accumulator (and all its vectors, caches and overflow tables) is
-    /// ready for the next window without reallocating.
+    /// observation order. Afterwards every pass-1 statistic is reset in
+    /// place, so the accumulator (and all its vectors, caches and overflow
+    /// tables) is ready for the next window without reallocating.
     pub(crate) fn take_estimate<'a, I>(&mut self, stacks: I) -> LbrEstimate
     where
         I: IntoIterator<Item = &'a [LbrEntry]>,
@@ -466,49 +454,16 @@ impl<'m> LbrStats<'m> {
     }
 }
 
-/// Streaming LBR accumulator over an in-memory recording: feed it
-/// `BR_INST_RETIRED:NEAR_TAKEN` samples (event filtering is the caller's
-/// job), then [`finish`] into an [`LbrEstimate`]. Usable stacks are
-/// buffered **by reference** into the recording — zero copies; the
-/// bounded-memory owned-buffer variant lives in
-/// [`crate::online::OnlineAnalyzer`].
-///
-/// [`finish`]: LbrAccum::finish
-#[derive(Debug, Clone)]
-pub(crate) struct LbrAccum<'m, 'd> {
-    stats: LbrStats<'m>,
-    buffered: Vec<&'d [LbrEntry]>,
-}
-
-impl<'m, 'd> LbrAccum<'m, 'd> {
-    pub(crate) fn new(map: &'m BlockMap, period: u64, options: LbrOptions) -> LbrAccum<'m, 'd> {
-        LbrAccum {
-            stats: LbrStats::new(map, period, options),
-            buffered: Vec::new(),
-        }
-    }
-
-    /// Ingest one sample's LBR stack (its eventing IP is **discarded**,
-    /// paper §V.A).
-    pub(crate) fn observe(&mut self, sample: &'d PerfSample) {
-        if self.stats.observe_stack(&sample.lbr) {
-            self.buffered.push(&sample.lbr);
-        }
-    }
-
-    pub(crate) fn finish(self) -> LbrEstimate {
-        self.stats.finish(self.buffered)
-    }
-}
-
 /// Build the LBR estimate from the stacks of `BR_INST_RETIRED:NEAR_TAKEN`
 /// samples. Eventing IPs of those samples are **discarded** (paper §V.A).
 pub fn estimate(data: &PerfData, map: &BlockMap, period: u64, options: &LbrOptions) -> LbrEstimate {
-    let mut acc = LbrAccum::new(map, period, options.clone());
-    for sample in data.samples_of(EventSpec::br_inst_retired_near_taken()) {
-        acc.observe(sample);
-    }
-    acc.finish()
+    let mut stats = LbrStats::new(map, period, options.clone());
+    let kept: Vec<&[LbrEntry]> = data
+        .samples_of(EventSpec::br_inst_retired_near_taken())
+        .map(|sample| sample.lbr.as_slice())
+        .filter(|stack| stats.observe_stack(stack))
+        .collect();
+    stats.take_estimate(kept)
 }
 
 #[cfg(test)]

@@ -17,13 +17,13 @@
 //! * [`Analyzer`] — static block maps, instruction mixes, pivot tables,
 //!   ring filtering and the kernel-text patch step (§V.B, §III.C). The
 //!   estimation pipeline runs in **block-index coordinates**
-//!   ([`hbbp_program::DenseBbec`]) and [`Analyzer::analyze_fused`]
-//!   dispatches each perf record to the EBS/LBR accumulators in a single
-//!   pass (the seed address-keyed pipeline it is pinned against lives in
-//!   the test-only `hbbp-oracle` crate);
-//! * [`online`] — streaming analysis: [`OnlineAnalyzer`] consumes one
-//!   record at a time (bit-identical to the batch pipeline when
-//!   unwindowed) and optional time/sample windows turn long runs into
+//!   ([`hbbp_program::DenseBbec`]); [`Analyzer::analyze_fused`] analyzes
+//!   an in-memory recording in a single pass through an unwindowed
+//!   [`OnlineAnalyzer`] (the seed address-keyed pipeline it is pinned
+//!   against lives in the test-only `hbbp-oracle` crate);
+//! * [`online`] — the one analysis driver: [`OnlineAnalyzer`] consumes
+//!   one record at a time, dispatching each sample to the EBS/LBR
+//!   accumulators, and optional time/sample windows turn long runs into
 //!   per-phase instruction-mix timelines with memory bounded by the
 //!   window, not the run;
 //! * [`HbbpProfiler`] — the end-to-end tool: clean run, Table 4 period

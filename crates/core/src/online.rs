@@ -1,28 +1,31 @@
 //! Online (streaming) analysis with optional windowing.
 //!
-//! [`crate::Analyzer::analyze_fused`] needs the whole recording in memory;
-//! [`OnlineAnalyzer`] consumes one record at a time — straight off a
-//! collection session or a [`hbbp_perf::StreamDecoder`] — and keeps only
-//! what estimation fundamentally requires: the per-branch pass-1
-//! statistics plus owned copies of the LBR stacks of the **current
-//! window**. Memory is bounded by window size, not run length, which is
-//! what makes long-running, phase-varying workloads profileable at all.
+//! [`OnlineAnalyzer`] is the one analysis driver: it consumes one record
+//! at a time — straight off a collection session or a
+//! [`hbbp_perf::StreamDecoder`] — and keeps only what estimation
+//! fundamentally requires: the per-branch pass-1 statistics plus owned
+//! copies of the LBR stacks of the **current window**. Memory is bounded
+//! by window size, not run length, which is what makes long-running,
+//! phase-varying workloads profileable at all. Batch analysis of an
+//! in-memory recording ([`crate::Analyzer::analyze_fused`]) is an
+//! unwindowed run of the same driver.
 //!
 //! Wire bytes arrive as zero-copy [`hbbp_perf::RecordView`]s
 //! ([`OnlineAnalyzer::push_view`]): as a [`hbbp_perf::ViewSink`] the
 //! analyzer plugs directly into [`hbbp_perf::StreamDecoder::decode_into`],
 //! LBR branch pairs are parsed straight out of the decoder's wire buffer
-//! into pooled stack buffers, and no owned [`PerfRecord`] ever exists.
-//! Owned records (a live collection session) arrive through the
+//! into one exact-size stack `Vec`, and no owned [`PerfRecord`] ever
+//! exists. Owned records (a live collection session) arrive through the
 //! [`RecordSink`] impl, which moves each LBR stack into the window buffer.
-//! Both paths are pinned bit-identical by the property suite.
+//! Either way a kept stack is one `Vec<LbrEntry>`, freed when its window
+//! closes. Both paths are pinned bit-identical by the property suite.
 //!
 //! Two consumption modes:
 //!
 //! * **Unwindowed** — one analysis of the whole stream. Pinned
-//!   bit-identical to [`crate::Analyzer::analyze_fused`] by the property
-//!   suite in `crates/core/tests/streaming_equivalence.rs`, under any
-//!   chunking of the record stream.
+//!   bit-identical to the seed pipeline (`hbbp_oracle::analyze_ref`) by
+//!   the property suite in `crates/core/tests/streaming_equivalence.rs`,
+//!   under any chunking of the record stream.
 //! * **Windowed** ([`Window::Samples`] / [`Window::TimeCycles`]) — each
 //!   closed window emits a [`WindowedAnalysis`]: the three estimates, the
 //!   HBBP instruction mix, raw sample tallies and the window bounds. A
@@ -48,7 +51,7 @@
 use crate::ebs::EbsAccum;
 use crate::lbr::LbrStats;
 use crate::{hybrid, Analysis, Analyzer, HybridRule, SamplingPeriods};
-use hbbp_perf::{PerfRecord, RecordSink, RecordView, ViewSink};
+use hbbp_perf::{PerfRecord, PerfSample, RecordSink, RecordView, ViewSink};
 use hbbp_program::MnemonicMix;
 use hbbp_sim::{EventSpec, LbrEntry};
 
@@ -75,6 +78,8 @@ pub struct WindowedAnalysis {
     pub start_cycles: u64,
     /// Window end in core cycles — nominal (exclusive, `(k + 1) * width`)
     /// for [`Window::TimeCycles`], the last sample's timestamp otherwise.
+    /// A nominal end past `u64::MAX` (the last window of the cycle range)
+    /// saturates at `u64::MAX`.
     pub end_cycles: u64,
     /// EBS-event samples observed in the window (mapped or not).
     pub ebs_samples: u64,
@@ -108,10 +113,6 @@ pub struct OnlineOutcome {
     /// through [`OnlineAnalyzer::take_closed_windows`] (which
     /// `windows.len()` would miss).
     pub windows_closed: usize,
-    /// Stack buffers obtained by recycling a retired one from the pool.
-    pub pool_hits: u64,
-    /// Stack buffers that had to be freshly allocated (pool empty).
-    pub pool_misses: u64,
 }
 
 impl OnlineOutcome {
@@ -126,14 +127,6 @@ impl OnlineOutcome {
         debug_assert_eq!(windows.len(), 1, "unwindowed run emits one window");
         windows.pop().map(|w| w.analysis)
     }
-}
-
-/// Where an incoming LBR stack lives: carved out of an owned record
-/// (moved when kept, dropped otherwise), or in a pooled buffer filled
-/// from a zero-copy view (returned to the pool when not kept).
-enum StackIn {
-    Owned(Vec<LbrEntry>),
-    Pooled(Vec<LbrEntry>),
 }
 
 /// Streaming analyzer: feed it the stream in any chunking — as a
@@ -152,12 +145,8 @@ pub struct OnlineAnalyzer<'a> {
     // Current-window accumulators.
     ebs: EbsAccum<'a>,
     lbr: LbrStats<'a>,
+    /// The current window's usable LBR stacks, one exact-size `Vec` each.
     stacks: Vec<Vec<LbrEntry>>,
-    /// Retired stack buffers recycled across windows (and across rejected
-    /// view-path stacks): [`close_window`](OnlineAnalyzer::close_window)
-    /// drains into here instead of freeing, so a long windowed run stops
-    /// allocating per stack once past its densest window.
-    stack_pool: Vec<Vec<LbrEntry>>,
     // Current-window bookkeeping.
     win_samples: u64,
     win_ebs: u64,
@@ -177,13 +166,11 @@ pub struct OnlineAnalyzer<'a> {
     records_seen: u64,
     samples_seen: u64,
     peak_buffered_entries: usize,
-    pool_hits: u64,
-    pool_misses: u64,
 }
 
 impl<'a> OnlineAnalyzer<'a> {
-    /// Unwindowed online analyzer (one whole-stream analysis,
-    /// bit-identical to [`Analyzer::analyze_fused`]).
+    /// Unwindowed online analyzer: one whole-stream analysis, the run
+    /// [`Analyzer::analyze_fused`] drives over an in-memory recording.
     pub fn new(
         analyzer: &'a Analyzer,
         periods: SamplingPeriods,
@@ -199,7 +186,6 @@ impl<'a> OnlineAnalyzer<'a> {
             ebs_event: EventSpec::inst_retired_prec_dist(),
             lbr_event: EventSpec::br_inst_retired_near_taken(),
             stacks: Vec::new(),
-            stack_pool: Vec::new(),
             win_samples: 0,
             win_ebs: 0,
             win_lbr: 0,
@@ -212,8 +198,6 @@ impl<'a> OnlineAnalyzer<'a> {
             records_seen: 0,
             samples_seen: 0,
             peak_buffered_entries: 0,
-            pool_hits: 0,
-            pool_misses: 0,
         }
     }
 
@@ -253,40 +237,38 @@ impl<'a> OnlineAnalyzer<'a> {
     }
 
     /// Consume one zero-copy record view ([`hbbp_perf::SampleView`] LBR
-    /// entries are parsed straight out of the wire buffer into a pooled
-    /// stack buffer — the fused ingest path never materializes an owned
+    /// entries are parsed straight out of the wire buffer into the kept
+    /// stack — the fused ingest path never materializes an owned
     /// `PerfRecord`). Pinned bit-identical to the [`RecordSink`] ingest
     /// of the same record by `crates/core/tests/streaming_equivalence.rs`.
     pub fn push_view(&mut self, view: &RecordView<'_>) {
         self.records_seen += 1;
         if let RecordView::Sample(s) = view {
-            if s.event == self.lbr_event {
-                let mut buf = self.take_pooled();
-                buf.extend(s.lbr_entries());
-                self.ingest(s.event, s.ip, s.time_cycles, StackIn::Pooled(buf));
-            } else if s.event == self.ebs_event {
-                // The EBS estimator discards LBR stacks (paper §V.A), so
-                // the view's entries are never even parsed.
-                self.ingest(s.event, s.ip, s.time_cycles, StackIn::Owned(Vec::new()));
-            }
-        }
-    }
-
-    /// A cleared stack buffer, reusing a retired one when available.
-    fn take_pooled(&mut self) -> Vec<LbrEntry> {
-        match self.stack_pool.pop() {
-            Some(buf) => {
-                self.pool_hits += 1;
-                buf
-            }
-            None => {
-                self.pool_misses += 1;
+            // The EBS estimator discards LBR stacks (paper §V.A), so only
+            // LBR-event samples have their entries parsed.
+            let stack = if s.event == self.lbr_event {
+                s.lbr_entries().collect()
+            } else {
                 Vec::new()
-            }
+            };
+            self.ingest(s.event, s.ip, s.time_cycles, stack);
         }
     }
 
-    fn ingest(&mut self, event: EventSpec, ip: u64, time_cycles: u64, stack: StackIn) {
+    /// Consume one sample of an in-memory recording — the batch driver
+    /// behind [`Analyzer::analyze_fused`]. LBR stacks are cloned, since
+    /// the recording keeps its own.
+    pub(crate) fn push_sample(&mut self, s: &PerfSample) {
+        self.records_seen += 1;
+        let stack = if s.event == self.lbr_event {
+            s.lbr.clone()
+        } else {
+            Vec::new()
+        };
+        self.ingest(s.event, s.ip, s.time_cycles, stack);
+    }
+
+    fn ingest(&mut self, event: EventSpec, ip: u64, time_cycles: u64, stack: Vec<LbrEntry>) {
         let is_ebs = event == self.ebs_event;
         let is_lbr = event == self.lbr_event;
         if !is_ebs && !is_lbr {
@@ -302,15 +284,10 @@ impl<'a> OnlineAnalyzer<'a> {
             self.ebs.observe_ip(ip);
         } else {
             self.win_lbr += 1;
-            let (StackIn::Owned(entries) | StackIn::Pooled(entries)) = &stack;
-            if self.lbr.observe_stack(entries) {
-                let (StackIn::Owned(kept) | StackIn::Pooled(kept)) = stack;
-                self.buffered_entries += kept.len();
+            if self.lbr.observe_stack(&stack) {
+                self.buffered_entries += stack.len();
                 self.peak_buffered_entries = self.peak_buffered_entries.max(self.buffered_entries);
-                self.stacks.push(kept);
-            } else if let StackIn::Pooled(mut buf) = stack {
-                buf.clear();
-                self.stack_pool.push(buf);
+                self.stacks.push(stack);
             }
         }
     }
@@ -332,24 +309,23 @@ impl<'a> OnlineAnalyzer<'a> {
     }
 
     /// Finish the current accumulators into a [`WindowedAnalysis`] and
-    /// reset them in place — accumulator tallies, caches and stack
-    /// buffers are all recycled into the next window instead of being
-    /// reallocated per window.
+    /// reset them in place — accumulator tallies and caches are recycled
+    /// into the next window instead of being reallocated per window; the
+    /// window's stacks are freed.
     fn close_window(&mut self) {
         let map = self.analyzer.map();
         let ebs = self.ebs.take_estimate();
         let lbr = self
             .lbr
-            .take_estimate(self.stacks.iter().map(|s| s.as_slice()));
-        for mut stack in self.stacks.drain(..) {
-            stack.clear();
-            self.stack_pool.push(stack);
-        }
+            .take_estimate(self.stacks.iter().map(Vec::as_slice));
+        self.stacks.clear();
         let hbbp = hybrid::combine(map, &ebs, &lbr, &self.rule);
         let analysis = Analysis { ebs, lbr, hbbp };
         let mix = self.analyzer.mix(&analysis.hbbp.bbec);
         let (start_cycles, end_cycles) = match (self.window, self.time_key) {
-            (Some(Window::TimeCycles(width)), Some(key)) => (key * width, (key + 1) * width),
+            (Some(Window::TimeCycles(width)), Some(key)) => {
+                (key * width, key.saturating_add(1).saturating_mul(width))
+            }
             _ => (self.win_first_time.unwrap_or(0), self.win_last_time),
         };
         self.windows.push(WindowedAnalysis {
@@ -385,8 +361,6 @@ impl<'a> OnlineAnalyzer<'a> {
             samples_seen: self.samples_seen,
             peak_buffered_entries: self.peak_buffered_entries,
             windows_closed: self.emitted,
-            pool_hits: self.pool_hits,
-            pool_misses: self.pool_misses,
         }
     }
 }
@@ -397,7 +371,7 @@ impl RecordSink for OnlineAnalyzer<'_> {
     fn record(&mut self, record: PerfRecord) {
         self.records_seen += 1;
         if let PerfRecord::Sample(s) = record {
-            self.ingest(s.event, s.ip, s.time_cycles, StackIn::Owned(s.lbr));
+            self.ingest(s.event, s.ip, s.time_cycles, s.lbr);
         }
     }
 }
@@ -415,7 +389,6 @@ mod tests {
     use hbbp_isa::{Mnemonic, Reg};
     use hbbp_perf::{PerfData, PerfSample};
     use hbbp_program::{ImageView, Layout, ProgramBuilder, Ring, TextImage};
-    use std::collections::HashMap;
 
     /// Short loop + long loop + exit, with known addresses.
     fn fixture() -> (Analyzer, u64, u64, u64, u64) {
@@ -503,25 +476,6 @@ mod tests {
             time_cycles: 400,
         });
         data
-    }
-
-    #[test]
-    fn unwindowed_matches_analyze_fused() {
-        let fx = fixture();
-        let data = mixed_stream(&fx);
-        let analyzer = &fx.0;
-        let batch = analyzer.analyze_fused(&data, periods(), &HybridRule::paper_default());
-        let mut online = OnlineAnalyzer::new(analyzer, periods(), HybridRule::paper_default());
-        for r in data.records() {
-            online.record(r.clone());
-        }
-        let outcome = online.finish();
-        assert_eq!(outcome.records_seen, data.len() as u64);
-        let analysis = outcome.into_analysis().expect("unwindowed");
-        assert_eq!(analysis.ebs.bbec, batch.ebs.bbec);
-        assert_eq!(analysis.lbr.bbec, batch.lbr.bbec);
-        assert_eq!(analysis.hbbp.bbec, batch.hbbp.bbec);
-        assert_eq!(analysis.hbbp.choices, batch.hbbp.choices);
     }
 
     #[test]
@@ -622,6 +576,25 @@ mod tests {
         );
         assert_eq!(outcome.windows[0].ebs_samples, 2);
         assert_eq!(outcome.windows[1].ebs_samples, 1);
+    }
+
+    #[test]
+    fn time_window_end_saturates_at_the_last_cycle() {
+        // A sample at the very last cycle lands in the last window, whose
+        // nominal end `(k + 1) * width` is past u64::MAX.
+        let fx = fixture();
+        let (_, s_start, ..) = fx;
+        for width in [1u64, 1000] {
+            let mut online = OnlineAnalyzer::new(&fx.0, periods(), HybridRule::paper_default())
+                .with_window(Window::TimeCycles(width));
+            online.record(ebs_at(s_start, u64::MAX));
+            let outcome = online.finish();
+            assert_eq!(outcome.windows.len(), 1);
+            let w = &outcome.windows[0];
+            assert_eq!(w.start_cycles, u64::MAX / width * width, "width {width}");
+            assert_eq!(w.end_cycles, u64::MAX, "width {width}");
+            assert_eq!(w.ebs_samples, 1);
+        }
     }
 
     #[test]
@@ -743,20 +716,5 @@ mod tests {
         // The whole-stream window still closes at finish.
         let analysis = online.finish().into_analysis().expect("unwindowed");
         assert!(!analysis.ebs.bbec.is_empty());
-    }
-
-    #[test]
-    fn from_map_analyzer_works_online() {
-        // OnlineAnalyzer over an Analyzer built from an existing map.
-        let fx = fixture();
-        let analyzer = Analyzer::from_map(fx.0.map().clone(), HashMap::new());
-        let data = mixed_stream(&fx);
-        let mut online = OnlineAnalyzer::new(&analyzer, periods(), HybridRule::paper_default());
-        for r in data.records() {
-            online.record(r.clone());
-        }
-        let analysis = online.finish().into_analysis().unwrap();
-        let batch = analyzer.analyze_fused(&data, periods(), &HybridRule::paper_default());
-        assert_eq!(analysis.hbbp.bbec, batch.hbbp.bbec);
     }
 }

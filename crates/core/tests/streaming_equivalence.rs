@@ -1,14 +1,15 @@
 //! Streaming equivalence properties: the online analyzer fed any chunking
 //! of a record stream — whole-batch, one record at a time, or through the
 //! byte-level [`StreamDecoder`] with random chunk splits — must produce
-//! **bit-identical** results to [`Analyzer::analyze_fused`]; windowed runs
-//! must partition the stream (window sums equal whole-run totals) and each
-//! window must equal the batch analysis of exactly its slice. The fused
-//! zero-copy ingest ([`StreamDecoder::decode_into`] driving
-//! [`OnlineAnalyzer::push_view`]) must match the owned
-//! `next_record` → [`RecordSink`] path bit-for-bit on the same byte
-//! stream, windowed and unwindowed alike, and the record-at-a-time run
-//! must also match the seed pipeline (`hbbp_oracle::analyze_ref`).
+//! **bit-identical** results to the seed pipeline
+//! (`hbbp_oracle::analyze_ref`), an implementation independent of the
+//! analyzer ([`Analyzer::analyze_fused`] is itself an unwindowed online
+//! run); windowed runs must partition the stream (window sums equal
+//! whole-run totals) and each window must equal the seed analysis of
+//! exactly its slice. The fused zero-copy ingest
+//! ([`StreamDecoder::decode_into`] driving [`OnlineAnalyzer::push_view`])
+//! must match the owned `next_record` → [`RecordSink`] path bit-for-bit on
+//! the same byte stream, windowed and unwindowed alike.
 
 use hbbp_core::{Analyzer, HybridRule, LbrOptions, OnlineAnalyzer, SamplingPeriods, Window};
 use hbbp_isa::instruction::build;
@@ -212,7 +213,7 @@ proptest! {
     }
 
     /// The full wire path — encode, split into random byte chunks, stream
-    /// decode, push owned records — ≡ `analyze_fused` on the original.
+    /// decode, push owned records — ≡ the seed pipeline on the original.
     #[test]
     fn chunked_wire_stream_matches_batch(
         bodies in proptest::collection::vec(1usize..28, 1..5),
@@ -226,7 +227,7 @@ proptest! {
         let analyzer = analyzer_for(&fx);
         let periods = SamplingPeriods { ebs: 733, lbr: 211 };
         let rule = HybridRule::LengthCutoff(cutoff);
-        let batch = analyzer.analyze_fused(&data, periods, &rule);
+        let seed = hbbp_oracle::analyze_ref(&analyzer, &data, periods, &rule);
 
         let bytes = codec::write(&data);
         let mut points: Vec<usize> = cuts.iter().map(|&c| c % bytes.len()).collect();
@@ -245,12 +246,12 @@ proptest! {
         }
         decoder.finish().expect("clean end of stream");
         let streamed = online.finish().into_analysis().expect("unwindowed");
-        assert_analysis_eq(&streamed, &batch);
+        assert_analysis_eq(&streamed, &seed);
     }
 
     /// Windowed runs partition the stream: per-window sample tallies sum
     /// to the whole-run totals, and each window's analysis is bit-identical
-    /// to `analyze_fused` over exactly that window's records.
+    /// to the seed pipeline over exactly that window's records.
     #[test]
     fn window_sums_equal_totals(
         bodies in proptest::collection::vec(1usize..28, 1..4),
@@ -273,10 +274,10 @@ proptest! {
         // Sample-count partition (exact integer invariant).
         let total_ebs: u64 = outcome.windows.iter().map(|w| w.ebs_samples).sum();
         let total_lbr: u64 = outcome.windows.iter().map(|w| w.lbr_samples).sum();
-        let batch = analyzer.analyze_fused(&data, periods, &rule);
+        let seed = hbbp_oracle::analyze_ref(&analyzer, &data, periods, &rule);
         prop_assert_eq!(
             total_ebs,
-            batch.ebs.samples_used + batch.ebs.samples_unmapped
+            seed.ebs.samples_used + seed.ebs.samples_unmapped
         );
         let lbr_in_stream = data
             .samples_of(EventSpec::br_inst_retired_near_taken())
@@ -287,22 +288,22 @@ proptest! {
         // Estimator statistics partition too.
         let stacks_sum: u64 = outcome.windows.iter().map(|w| w.analysis.lbr.stacks).sum();
         let streams_sum: u64 = outcome.windows.iter().map(|w| w.analysis.lbr.streams).sum();
-        prop_assert_eq!(stacks_sum, batch.lbr.stacks);
-        prop_assert_eq!(streams_sum, batch.lbr.streams);
+        prop_assert_eq!(stacks_sum, seed.lbr.stacks);
+        prop_assert_eq!(streams_sum, seed.lbr.streams);
 
         // EBS extrapolation is linear, so windowed totals recompose to the
-        // batch total (up to float summation order).
+        // seed total (up to float summation order).
         let windowed_total: f64 = outcome.windows.iter().map(|w| w.analysis.ebs.bbec.total()).sum();
-        let batch_total = batch.ebs.bbec.total();
-        let tol = 1e-9 * batch_total.abs().max(1.0);
+        let seed_total = seed.ebs.bbec.total();
+        let tol = 1e-9 * seed_total.abs().max(1.0);
         prop_assert!(
-            (windowed_total - batch_total).abs() <= tol,
-            "windowed {} vs batch {}",
+            (windowed_total - seed_total).abs() <= tol,
+            "windowed {} vs seed {}",
             windowed_total,
-            batch_total
+            seed_total
         );
 
-        // Every window ≡ the batch analysis of exactly its slice.
+        // Every window ≡ the seed analysis of exactly its slice.
         let mut remaining: Vec<&PerfRecord> = data
             .records()
             .iter()
@@ -317,15 +318,15 @@ proptest! {
         for w in &outcome.windows {
             let n = (w.ebs_samples + w.lbr_samples) as usize;
             let slice: PerfData = remaining.drain(..n).cloned().collect();
-            let slice_batch = analyzer.analyze_fused(&slice, periods, &rule);
-            assert_analysis_eq(&w.analysis, &slice_batch);
+            let slice_seed = hbbp_oracle::analyze_ref(&analyzer, &slice, periods, &rule);
+            assert_analysis_eq(&w.analysis, &slice_seed);
         }
         prop_assert!(remaining.is_empty());
     }
 
     /// The fused zero-copy ingest — `decode_into` handing borrowed views
-    /// straight to the analyzer — ≡ the owned `RecordSink` path ≡
-    /// `analyze_fused`, under any chunking of the wire bytes.
+    /// straight to the analyzer — ≡ the owned `RecordSink` path ≡ the seed
+    /// pipeline, under any chunking of the wire bytes.
     #[test]
     fn fused_wire_stream_matches_owned_and_batch(
         bodies in proptest::collection::vec(1usize..28, 1..5),
@@ -339,7 +340,7 @@ proptest! {
         let analyzer = analyzer_for(&fx);
         let periods = SamplingPeriods { ebs: 733, lbr: 211 };
         let rule = HybridRule::LengthCutoff(cutoff);
-        let batch = analyzer.analyze_fused(&data, periods, &rule);
+        let seed = hbbp_oracle::analyze_ref(&analyzer, &data, periods, &rule);
 
         let bytes = codec::write(&data);
         let mut points: Vec<usize> = cuts.iter().map(|&c| c % bytes.len()).collect();
@@ -370,7 +371,7 @@ proptest! {
         prop_assert_eq!(fused_out.samples_seen, owned_out.samples_seen);
         let fused_analysis = fused_out.into_analysis().expect("unwindowed");
         assert_analysis_eq(&fused_analysis, &owned_out.into_analysis().expect("unwindowed"));
-        assert_analysis_eq(&fused_analysis, &batch);
+        assert_analysis_eq(&fused_analysis, &seed);
     }
 
     /// Windowed fused ingest ≡ windowed owned ingest: the same windows in
@@ -463,4 +464,74 @@ proptest! {
             prop_assert!(w.ebs_samples + w.lbr_samples > 0);
         }
     }
+}
+
+/// Short loop + long loop + exit: interleaved EBS and LBR samples
+/// bracketed by process records the analyzer must ignore.
+fn mixed_stream(fx: &Fx) -> PerfData {
+    let short = &fx.map.blocks()[0];
+    let long = &fx.map.blocks()[1];
+    let mut data = PerfData::new();
+    data.push(PerfRecord::Comm {
+        pid: 1,
+        tid: 1,
+        name: "f".into(),
+    });
+    for i in 0..30u64 {
+        let ip = if i % 2 == 0 { short.start } else { long.start };
+        data.push(ebs_sample(ip, i * 10));
+        if i % 3 == 0 {
+            let entry = LbrEntry {
+                from: short.terminator_addr(),
+                to: short.start,
+            };
+            data.push(lbr_sample(vec![entry; 5], i * 10 + 1));
+        }
+    }
+    data.push(PerfRecord::Exit {
+        pid: 1,
+        time_cycles: 400,
+    });
+    data
+}
+
+fn mixed_periods() -> SamplingPeriods {
+    SamplingPeriods {
+        ebs: 1000,
+        lbr: 300,
+    }
+}
+
+#[test]
+fn unwindowed_matches_seed_pipeline() {
+    let fx = fixture(&[4, 22]);
+    let data = mixed_stream(&fx);
+    let analyzer = analyzer_for(&fx);
+    let rule = HybridRule::paper_default();
+    let seed = hbbp_oracle::analyze_ref(&analyzer, &data, mixed_periods(), &rule);
+    let mut online = OnlineAnalyzer::new(&analyzer, mixed_periods(), rule);
+    for r in data.records() {
+        online.record(r.clone());
+    }
+    let outcome = online.finish();
+    assert_eq!(outcome.records_seen, data.len() as u64);
+    assert_analysis_eq(&outcome.into_analysis().expect("unwindowed"), &seed);
+}
+
+#[test]
+fn from_map_analyzer_works_online() {
+    // OnlineAnalyzer over an Analyzer built from an existing map, with
+    // the default LBR options.
+    let fx = fixture(&[4, 22]);
+    let analyzer = Analyzer::from_map(fx.map.clone(), HashMap::new());
+    let data = mixed_stream(&fx);
+    let rule = HybridRule::paper_default();
+    let mut online = OnlineAnalyzer::new(&analyzer, mixed_periods(), rule.clone());
+    for r in data.records() {
+        online.record(r.clone());
+    }
+    let analysis = online.finish().into_analysis().unwrap();
+    let seed = hbbp_oracle::analyze_ref(&analyzer, &data, mixed_periods(), &rule);
+    assert_eq!(analysis.hbbp.bbec, seed.hbbp.bbec);
+    assert!(!analysis.hbbp.bbec.is_empty());
 }

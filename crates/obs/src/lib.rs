@@ -154,18 +154,10 @@ catalog!(Counter, MetricKind::Counter, COUNTERS;
         "perf records decoded from ingest streams" },
     DecoderCompactions => { "decoder.compactions", "", false,
         "stream-buffer compactions (consumed prefix reclaimed)" },
-    DecoderResyncBytes => { "decoder.resync_bytes", "bytes", false,
-        "bytes scanned past while resynchronizing after corruption" },
-    DecoderCorruptSkipped => { "decoder.corrupt_skipped", "frames", false,
-        "corrupt frames skipped by resilient decoding" },
     DecoderUnknownSkipped => { "decoder.unknown_skipped", "frames", false,
         "unknown-type frames skipped (forward compatibility)" },
     AnalyzerWindowCloses => { "analyzer.window_closes", "windows", false,
         "timeline windows closed by the online analyzers" },
-    AnalyzerPoolHits => { "analyzer.pool_hits", "", false,
-        "LBR stack buffers recycled from the analyzer pool" },
-    AnalyzerPoolMisses => { "analyzer.pool_misses", "", false,
-        "LBR stack buffers freshly allocated (pool empty)" },
 );
 
 catalog!(Gauge, MetricKind::Gauge, GAUGES;

@@ -24,10 +24,10 @@
 //! ```
 
 use crate::view::{RecordView, SampleView};
-use crate::{PerfData, PerfRecord, PerfSample};
+use crate::{PerfData, PerfRecord};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hbbp_program::Ring;
-use hbbp_sim::{EventKind, EventSpec, LbrEntry};
+use hbbp_sim::{EventKind, EventSpec};
 use std::fmt;
 
 pub(crate) const MAGIC: &[u8; 8] = b"HBBPPERF";
@@ -291,12 +291,9 @@ fn encode_payload(record: &PerfRecord) -> BytesMut {
     buf
 }
 
-/// Whether `rtype` is a record type this codec version can decode (used
-/// by the stream decoder's resync scan to judge candidate frames).
-pub(crate) fn is_known_type(rtype: u8) -> bool {
-    (T_COMM..=T_LOST).contains(&rtype)
-}
-
+/// Decode one frame payload as an owned record: `Ok(None)` for an unknown
+/// type, `Err` for a malformed payload. Samples are parsed once, by
+/// [`decode_view`], and then materialized.
 pub(crate) fn decode_payload(rtype: u8, mut p: &[u8]) -> Result<Option<PerfRecord>, ()> {
     fn need(p: &[u8], n: usize) -> Result<(), ()> {
         if p.remaining() < n {
@@ -352,36 +349,7 @@ pub(crate) fn decode_payload(rtype: u8, mut p: &[u8]) -> Result<Option<PerfRecor
                 time_cycles: p.get_u64_le(),
             }
         }
-        T_SAMPLE => {
-            need(p, 3 + 8 + 8 + 4 + 4 + 1 + 2)?;
-            let counter = p.get_u8();
-            let kind_idx = p.get_u8() as usize;
-            let precise = p.get_u8() != 0;
-            let kind = *EventKind::ALL.get(kind_idx).ok_or(())?;
-            let ip = p.get_u64_le();
-            let time_cycles = p.get_u64_le();
-            let pid = p.get_u32_le();
-            let tid = p.get_u32_le();
-            let ring = ring_from_code(p.get_u8()).ok_or(())?;
-            let n = p.get_u16_le() as usize;
-            need(p, n * 16)?;
-            let mut lbr = Vec::with_capacity(n);
-            for _ in 0..n {
-                let from = p.get_u64_le();
-                let to = p.get_u64_le();
-                lbr.push(LbrEntry { from, to });
-            }
-            PerfRecord::Sample(PerfSample {
-                counter,
-                event: EventSpec { kind, precise },
-                ip,
-                time_cycles,
-                pid,
-                tid,
-                ring,
-                lbr,
-            })
-        }
+        T_SAMPLE => return Ok(decode_view(rtype, p)?.map(RecordView::into_owned)),
         T_LOST => {
             need(p, 8)?;
             PerfRecord::Lost {
@@ -392,8 +360,7 @@ pub(crate) fn decode_payload(rtype: u8, mut p: &[u8]) -> Result<Option<PerfRecor
     };
     // A frame whose declared length exceeds what its payload actually
     // encodes is malformed (most likely a corrupted length prefix): a
-    // decode must consume the payload exactly. This is also what lets the
-    // stream decoder's resync scan reject false re-anchors.
+    // decode must consume the payload exactly.
     if p.has_remaining() {
         return Err(());
     }
@@ -405,9 +372,9 @@ pub(crate) fn decode_payload(rtype: u8, mut p: &[u8]) -> Result<Option<PerfRecor
 /// [`decode_payload`].
 ///
 /// The validation verdict is pinned identical to [`decode_payload`] —
-/// same `Ok(Some)`/`Ok(None)`/`Err` for every `(rtype, payload)` — which
-/// is what lets the stream decoder's resync scan use either
-/// interchangeably (see `view_decode_agrees_with_owned_decode` below).
+/// same `Ok(Some)`/`Ok(None)`/`Err` for every `(rtype, payload)` — so the
+/// batch reader and the stream decoder reject exactly the same frames
+/// (see `view_decode_agrees_with_owned_decode` below).
 pub(crate) fn decode_view<'b>(rtype: u8, p: &'b [u8]) -> Result<Option<RecordView<'b>>, ()> {
     if rtype != T_SAMPLE {
         return Ok(decode_payload(rtype, p)?.map(RecordView::Other));
@@ -429,7 +396,7 @@ pub(crate) fn decode_view<'b>(rtype: u8, p: &'b [u8]) -> Result<Option<RecordVie
     let n = u16::from_le_bytes(p[28..30].try_into().expect("2 bytes")) as usize;
     let lbr_bytes = &p[FIXED..];
     // Exact consumption, like decode_payload: a declared length that does
-    // not match `n` entries is corrupt (and rejects false resync anchors).
+    // not match `n` entries is corrupt.
     if lbr_bytes.len() != n * 16 {
         return Err(());
     }
@@ -463,6 +430,8 @@ fn ring_from_code(code: u8) -> Option<Ring> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PerfSample;
+    use hbbp_sim::LbrEntry;
 
     fn sample_data() -> PerfData {
         let mut d = PerfData::new();

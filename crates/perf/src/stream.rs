@@ -6,8 +6,8 @@
 //! collector is still writing. Partial records carry over between chunks,
 //! the internal buffer stays bounded by the largest partial record plus a
 //! compaction threshold (consumed bytes are dropped lazily, not memmoved
-//! on every chunk), and (in resilient mode) a corrupt region is skipped by
-//! resynchronizing on the next plausible record frame.
+//! on every chunk). Decoding is strict: a corrupt frame poisons the
+//! decoder, so a damaged stream is an error, never a partial result.
 //!
 //! Records can be drained owned ([`next_record`](StreamDecoder::next_record)),
 //! as zero-copy views borrowing the buffer
@@ -45,11 +45,6 @@ use crate::codec::{self, ReadError};
 use crate::view::{RecordView, ViewSink};
 use crate::PerfRecord;
 
-/// Frames longer than this are treated as corruption in resilient mode
-/// (the largest legal payload — a sample with a full 65,535-entry LBR
-/// stack — is just over 1 MiB).
-const MAX_RESILIENT_PAYLOAD: usize = 2 << 20;
-
 /// A consumed prefix at least this large is always compacted away on the
 /// next [`StreamDecoder::feed`], even if it is less than half the buffer.
 const COMPACT_THRESHOLD: usize = 64 * 1024;
@@ -61,28 +56,10 @@ pub struct StreamStats {
     pub records: u64,
     /// Frames of unknown record type skipped (forward compatibility).
     pub unknown_skipped: u64,
-    /// Corrupt frames skipped (resilient mode only; strict mode fails).
-    pub corrupt_skipped: u64,
-    /// Bytes discarded while hunting for the next frame after corruption
-    /// (resilient mode only).
-    pub resync_bytes: u64,
-    /// Unconsumed tail bytes dropped at [`finish`](StreamDecoder::finish)
-    /// (resilient mode only; strict mode fails with `Truncated`).
-    pub dropped_tail_bytes: u64,
     /// Buffer compactions performed (consumed-prefix memmoves in
     /// [`feed`](StreamDecoder::feed); cheap `clear`s of a fully consumed
     /// buffer are not counted).
     pub compactions: u64,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Identical verdicts to the batch reader: corrupt or truncated input
-    /// is an error.
-    Strict,
-    /// Keep decoding past damage: skip corrupt frames, resync on absurd
-    /// frame lengths, drop a truncated tail. For tailing live files.
-    Resilient,
 }
 
 #[derive(Debug, Clone)]
@@ -104,10 +81,6 @@ pub struct StreamDecoder {
     /// Consumed prefix of `buf` (compacted away on the next feed).
     pos: usize,
     state: State,
-    mode: Mode,
-    /// Frame boundaries were lost to corruption (resilient mode): only a
-    /// frame that fully decodes re-anchors the scan.
-    resyncing: bool,
     stats: StreamStats,
 }
 
@@ -118,31 +91,13 @@ impl Default for StreamDecoder {
 }
 
 impl StreamDecoder {
-    /// A strict decoder: same verdicts as [`codec::read`], incrementally.
+    /// A decoder with the same verdicts as [`codec::read`], incrementally.
     pub fn new() -> StreamDecoder {
         StreamDecoder {
             buf: Vec::new(),
             pos: 0,
             state: State::Header,
-            mode: Mode::Strict,
-            resyncing: false,
             stats: StreamStats::default(),
-        }
-    }
-
-    /// A resilient decoder: recovers from mid-stream corruption by
-    /// scanning forward one byte at a time until a frame of a known type
-    /// fully decodes again. The damaged frame's length prefix is **not**
-    /// trusted to delimit it (it may itself be the corrupted bytes — a
-    /// plausible-but-wrong length would swallow valid frames), so when the
-    /// length was in fact honest the scan simply slides through the
-    /// corrupt payload to the next frame. The header must still be valid —
-    /// a stream that is not a perf stream at all is an error, not
-    /// something to scan through.
-    pub fn resilient() -> StreamDecoder {
-        StreamDecoder {
-            mode: Mode::Resilient,
-            ..StreamDecoder::new()
         }
     }
 
@@ -185,8 +140,7 @@ impl StreamDecoder {
 
     /// The running progress counters, readable mid-stream (e.g. to
     /// harvest partial stats from a stream that will never reach
-    /// [`finish`](StreamDecoder::finish) cleanly). `dropped_tail_bytes`
-    /// is only settled by `finish`.
+    /// [`finish`](StreamDecoder::finish) cleanly).
     pub fn stats(&self) -> &StreamStats {
         &self.stats
     }
@@ -207,9 +161,8 @@ impl StreamDecoder {
     /// # Errors
     ///
     /// Returns the same [`ReadError`] verdicts as [`codec::read`]: a bad
-    /// magic/version is always fatal; a corrupt frame is fatal in strict
-    /// mode and skipped in resilient mode. Once an error is returned, the
-    /// decoder is poisoned and repeats it.
+    /// magic/version or a corrupt frame is fatal. Once an error is
+    /// returned, the decoder is poisoned and repeats it.
     pub fn next_record(&mut self) -> Result<Option<PerfRecord>, ReadError> {
         Ok(self.next_view()?.map(RecordView::into_owned))
     }
@@ -265,42 +218,6 @@ impl StreamDecoder {
                     let rtype = avail[0];
                     let len = u32::from_le_bytes(avail[1..5].try_into().expect("4 length bytes"))
                         as usize;
-                    if self.resyncing {
-                        // Frame boundaries are lost: candidate bytes only
-                        // re-anchor the scan when they look like a frame
-                        // of a known type AND its payload decodes. Anything
-                        // less slides the scan window by one byte.
-                        if !codec::is_known_type(rtype) || len > MAX_RESILIENT_PAYLOAD {
-                            self.pos += 1;
-                            self.stats.resync_bytes += 1;
-                            continue;
-                        }
-                        if avail.len() < 5 + len {
-                            return Ok(None);
-                        }
-                        match codec::decode_view(rtype, &avail[5..5 + len]) {
-                            Ok(Some(view)) => {
-                                self.pos += 5 + len;
-                                self.resyncing = false;
-                                self.stats.records += 1;
-                                return Ok(Some(view));
-                            }
-                            _ => {
-                                self.pos += 1;
-                                self.stats.resync_bytes += 1;
-                            }
-                        }
-                        continue;
-                    }
-                    if self.mode == Mode::Resilient && len > MAX_RESILIENT_PAYLOAD {
-                        // The length prefix itself is garbage: the frame
-                        // boundary is lost, start hunting for the next
-                        // decodable frame.
-                        self.pos += 1;
-                        self.resyncing = true;
-                        self.stats.resync_bytes += 1;
-                        continue;
-                    }
                     if avail.len() < 5 + len {
                         return Ok(None);
                     }
@@ -316,22 +233,9 @@ impl StreamDecoder {
                             self.stats.unknown_skipped += 1;
                         }
                         Err(()) => {
-                            if self.mode == Mode::Strict {
-                                let e = ReadError::Corrupt { record_type: rtype };
-                                self.state = State::Failed(e.clone());
-                                return Err(e);
-                            }
-                            // A failed decode means either the payload or
-                            // the length prefix is damaged — the length
-                            // cannot be trusted to delimit the frame, so
-                            // hunt for the next decodable frame instead of
-                            // skipping blind (a corrupted length would
-                            // swallow valid frames). When the length WAS
-                            // honest, the scan slides through the corrupt
-                            // payload and lands on the next frame anyway.
-                            self.pos += 1;
-                            self.resyncing = true;
-                            self.stats.corrupt_skipped += 1;
+                            let e = ReadError::Corrupt { record_type: rtype };
+                            self.state = State::Failed(e.clone());
+                            return Err(e);
                         }
                     }
                 }
@@ -342,14 +246,13 @@ impl StreamDecoder {
     /// Drain every complete record in the buffer into `sink` as zero-copy
     /// views, returning how many records were delivered.
     ///
-    /// This is the fused fast path: while the decoder sits in the plain
+    /// This is the fused fast path: while the decoder sits in the
     /// record-framing state, a tight inner loop scans `type | len`
     /// headers and decodes views with the per-record state-machine
-    /// dispatch, resync checks, and poison checks hoisted out. Edge
-    /// states (stream header, resilient resync, oversized resilient
-    /// frames) fall back to [`next_view`](StreamDecoder::next_view) —
-    /// the two paths share the frame parser and are pinned equivalent by
-    /// the property suite.
+    /// dispatch and poison checks hoisted out. The other states (stream
+    /// header, poisoned) go through [`next_view`](StreamDecoder::next_view)
+    /// — the two paths share the frame parser and are pinned equivalent
+    /// by the property suite.
     ///
     /// Returns when the buffer holds no complete frame; feed more bytes
     /// and call again.
@@ -361,8 +264,8 @@ impl StreamDecoder {
     pub fn decode_into<S: ViewSink + ?Sized>(&mut self, sink: &mut S) -> Result<u64, ReadError> {
         let mut delivered = 0u64;
         loop {
-            if matches!(self.state, State::Records) && !self.resyncing {
-                // Fast loop: plain framing, no resync in progress.
+            if matches!(self.state, State::Records) {
+                // Fast loop: plain framing.
                 loop {
                     let avail = self.buf.len() - self.pos;
                     if avail < 5 {
@@ -374,9 +277,6 @@ impl StreamDecoder {
                             .try_into()
                             .expect("4 length bytes"),
                     ) as usize;
-                    if self.mode == Mode::Resilient && len > MAX_RESILIENT_PAYLOAD {
-                        break; // slow path starts the resync hunt
-                    }
                     if avail < 5 + len {
                         return Ok(delivered);
                     }
@@ -393,10 +293,7 @@ impl StreamDecoder {
                             self.stats.unknown_skipped += 1;
                         }
                         Err(()) => {
-                            if self.mode == Mode::Strict {
-                                return Err(self.fail(ReadError::Corrupt { record_type: rtype }));
-                            }
-                            break; // slow path starts the resync hunt
+                            return Err(self.fail(ReadError::Corrupt { record_type: rtype }));
                         }
                     }
                 }
@@ -415,33 +312,15 @@ impl StreamDecoder {
     ///
     /// # Errors
     ///
-    /// In strict mode, mirrors [`codec::read`] on a truncated input: an
-    /// incomplete header is `BadMagic`, a partial record is `Truncated`,
-    /// and a previously diagnosed fatal error is repeated. Resilient mode
-    /// only repeats fatal header errors; a partial trailing record is
-    /// dropped and counted in [`StreamStats::dropped_tail_bytes`]. (This
-    /// is the one unrecoverable corruption shape: a length prefix
-    /// corrupted to a plausible value near the end of the stream is
-    /// indistinguishable from a genuine mid-record cut, so the decoder
-    /// waits for bytes that never come and any valid frames inside the
-    /// claimed span are dropped with the tail.)
-    pub fn finish(mut self) -> Result<StreamStats, ReadError> {
+    /// Mirrors [`codec::read`] on a truncated input: an incomplete header
+    /// is `BadMagic`, a partial record is `Truncated`, and a previously
+    /// diagnosed fatal error is repeated.
+    pub fn finish(self) -> Result<StreamStats, ReadError> {
         match self.state {
             State::Failed(e) => Err(e),
             State::Header => Err(ReadError::BadMagic),
-            State::Records => {
-                let tail = (self.buf.len() - self.pos) as u64;
-                if tail == 0 {
-                    return Ok(self.stats);
-                }
-                match self.mode {
-                    Mode::Strict => Err(ReadError::Truncated),
-                    Mode::Resilient => {
-                        self.stats.dropped_tail_bytes = tail;
-                        Ok(self.stats)
-                    }
-                }
-            }
+            State::Records if self.pos < self.buf.len() => Err(ReadError::Truncated),
+            State::Records => Ok(self.stats),
         }
     }
 }
@@ -709,91 +588,6 @@ mod tests {
     }
 
     #[test]
-    fn resilient_mode_skips_corrupt_frame() {
-        let mut d = PerfData::new();
-        d.push(PerfRecord::Lost { count: 1 });
-        d.push(PerfRecord::Exit {
-            pid: 1,
-            time_cycles: 5,
-        });
-        let mut bytes = codec::write(&d).to_vec();
-        bytes[codec::HEADER_LEN] = 5; // corrupt the first frame
-        let mut dec = StreamDecoder::resilient();
-        dec.feed(&bytes);
-        let records = drain(&mut dec);
-        assert_eq!(
-            records,
-            &[PerfRecord::Exit {
-                pid: 1,
-                time_cycles: 5
-            }]
-        );
-        let stats = dec.finish().unwrap();
-        assert_eq!(stats.corrupt_skipped, 1);
-        assert_eq!(stats.records, 1);
-    }
-
-    #[test]
-    fn resilient_mode_resyncs_after_garbage_length() {
-        let data = {
-            let mut d = PerfData::new();
-            d.push(PerfRecord::Exit {
-                pid: 9,
-                time_cycles: 77,
-            });
-            d
-        };
-        let good = codec::write(&data);
-        // Header, then a frame whose length prefix is absurd, then the
-        // valid EXIT frame.
-        let mut bytes = good[..codec::HEADER_LEN].to_vec();
-        bytes.push(4); // plausible type...
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // ...absurd length
-        bytes.extend_from_slice(&good[codec::HEADER_LEN..]);
-        let mut dec = StreamDecoder::resilient();
-        dec.feed(&bytes);
-        let records = drain(&mut dec);
-        assert_eq!(records, data.records());
-        let stats = dec.finish().unwrap();
-        assert!(stats.resync_bytes > 0);
-    }
-
-    #[test]
-    fn resilient_mode_recovers_from_plausible_corrupt_length() {
-        // The corrupted length (24 bytes, well under MAX_RESILIENT_PAYLOAD)
-        // claims to reach into the valid frames that follow; trusting it
-        // would swallow the first of them. The resync scan must recover
-        // all three.
-        let data = {
-            let mut d = PerfData::new();
-            d.push(PerfRecord::Fork {
-                parent_pid: 1,
-                child_pid: 2,
-                time_cycles: 3,
-            });
-            d.push(PerfRecord::Lost { count: 4 });
-            d.push(PerfRecord::Exit {
-                pid: 1,
-                time_cycles: 5,
-            });
-            d
-        };
-        let good = codec::write(&data);
-        let mut bytes = good[..codec::HEADER_LEN].to_vec();
-        bytes.push(3); // FORK — a known type...
-        bytes.extend_from_slice(&24u32.to_le_bytes()); // ...plausible bogus length
-        bytes.extend_from_slice(&[0xAB; 4]); // a stub of damaged payload
-        bytes.extend_from_slice(&good[codec::HEADER_LEN..]);
-        let mut dec = StreamDecoder::resilient();
-        dec.feed(&bytes);
-        let records = drain(&mut dec);
-        assert_eq!(records, data.records());
-        let stats = dec.finish().unwrap();
-        assert_eq!(stats.corrupt_skipped, 1);
-        assert_eq!(stats.records, 3);
-    }
-
-    #[test]
     fn strict_mode_rejects_overlong_length_prefix() {
         // A frame whose declared length exceeds its actual payload is
         // Corrupt for both readers (the decode must consume it exactly).
@@ -814,17 +608,6 @@ mod tests {
             dec.next_record(),
             Err(ReadError::Corrupt { record_type: 6 })
         );
-    }
-
-    #[test]
-    fn resilient_mode_drops_truncated_tail() {
-        let bytes = codec::write(&sample_data());
-        let cut = bytes.len() - 3;
-        let mut dec = StreamDecoder::resilient();
-        dec.feed(&bytes[..cut]);
-        let _ = drain(&mut dec);
-        let stats = dec.finish().unwrap();
-        assert!(stats.dropped_tail_bytes > 0);
     }
 
     #[test]

@@ -656,21 +656,14 @@ impl<'a> Conn<'a> {
     fn harvest_stream(metrics: &Metrics, stats: &StreamStats) {
         metrics.add(Counter::DecoderRecords, stats.records);
         metrics.add(Counter::DecoderCompactions, stats.compactions);
-        metrics.add(Counter::DecoderResyncBytes, stats.resync_bytes);
-        metrics.add(Counter::DecoderCorruptSkipped, stats.corrupt_skipped);
         metrics.add(Counter::DecoderUnknownSkipped, stats.unknown_skipped);
     }
 
-    /// Fold one analyzer's outcome into the registry. Window closes are
-    /// only counted for the windowed analyzer — the unwindowed one
-    /// "closes" a single whole-stream pseudo-window that is not a
-    /// timeline event.
-    fn harvest_analyzer(metrics: &Metrics, outcome: &OnlineOutcome, windowed: bool) {
-        metrics.add(Counter::AnalyzerPoolHits, outcome.pool_hits);
-        metrics.add(Counter::AnalyzerPoolMisses, outcome.pool_misses);
-        if windowed {
-            metrics.add(Counter::AnalyzerWindowCloses, outcome.windows_closed as u64);
-        }
+    /// Fold the windowed analyzer's outcome into the registry. The
+    /// unwindowed analyzer is not harvested: it "closes" a single
+    /// whole-stream pseudo-window that is not a timeline event.
+    fn harvest_windows(metrics: &Metrics, outcome: &OnlineOutcome) {
+        metrics.add(Counter::AnalyzerWindowCloses, outcome.windows_closed as u64);
     }
 
     /// End of stream: close the analyzers and hand everything to the
@@ -691,8 +684,7 @@ impl<'a> Conn<'a> {
         let metrics = ctx.metrics().clone();
         // Read the counters before `finish` consumes the decoder, so a
         // stream that fails its end-of-stream verdict still accounts for
-        // everything it decoded (only `dropped_tail_bytes` is settled by
-        // `finish`, and that is a resilient-mode field unused here).
+        // everything it decoded.
         let partial = decoder.stats().clone();
         match decoder.finish() {
             Ok(stats) => Self::harvest_stream(&metrics, &stats),
@@ -702,23 +694,21 @@ impl<'a> Conn<'a> {
                 // written, so the aggregate cannot see a partial
                 // recording. The registry still accounts for the work.
                 Self::harvest_stream(&metrics, &partial);
-                Self::harvest_analyzer(&metrics, &whole.finish(), false);
                 if let Some(w) = windowed {
-                    Self::harvest_analyzer(&metrics, &w.finish(), true);
+                    Self::harvest_windows(&metrics, &w.finish());
                 }
                 self.respond_err(&format!("perf stream: {e}"));
                 return;
             }
         }
         let outcome = whole.finish();
-        Self::harvest_analyzer(&metrics, &outcome, false);
         let records = outcome.records_seen;
         let samples = outcome.samples_seen;
         let mut windows = outcome.windows;
         let whole_window = windows.pop().expect("unwindowed run emits one window");
         if let Some(w) = windowed {
             let windowed_outcome = w.finish();
-            Self::harvest_analyzer(&metrics, &windowed_outcome, true);
+            Self::harvest_windows(&metrics, &windowed_outcome);
             for closed in windowed_outcome.windows {
                 pending_windows.push(WindowRecord {
                     source,
