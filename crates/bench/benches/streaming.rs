@@ -146,12 +146,12 @@ fn bench_streaming(c: &mut Criterion, case: &Case, quick: bool) {
 
 /// Deterministic memory accounting: what the batch path must hold (the
 /// whole serialized recording plus every LBR stack) vs the windowed online
-/// analyzer's peak buffer.
+/// analyzer's peak LBR run log, in 4-byte words.
 struct MemoryFacts {
     recording_bytes: usize,
     recording_records: usize,
     recording_lbr_entries: usize,
-    streaming_peak_entries: usize,
+    streaming_peak_run_log_words: usize,
     streaming_windows: usize,
 }
 
@@ -175,7 +175,7 @@ fn memory_facts(case: &Case) -> MemoryFacts {
         recording_bytes: case.bytes.len(),
         recording_records: case.data.len(),
         recording_lbr_entries,
-        streaming_peak_entries: outcome.peak_buffered_entries,
+        streaming_peak_run_log_words: outcome.peak_run_log_words,
         streaming_windows: outcome.windows.len(),
     }
 }
@@ -217,18 +217,18 @@ fn emit_json(c: &Criterion, quick: bool, mem: &MemoryFacts, tl: &TimelineOutcome
     out.push_str("  \"suite\": \"phased(Tiny)\",\n");
     out.push_str(&format!("  \"quick_mode\": {quick},\n"));
     out.push_str(&format!(
-        "  \"memory\": {{ \"recording_bytes\": {}, \"recording_records\": {}, \"recording_lbr_entries\": {}, \"streaming_peak_lbr_entries\": {}, \"streaming_windows\": {} }},\n",
+        "  \"memory\": {{ \"recording_bytes\": {}, \"recording_records\": {}, \"recording_lbr_entries\": {}, \"streaming_peak_run_log_words\": {}, \"run_log_word_bytes\": 4, \"streaming_windows\": {} }},\n",
         mem.recording_bytes,
         mem.recording_records,
         mem.recording_lbr_entries,
-        mem.streaming_peak_entries,
+        mem.streaming_peak_run_log_words,
         mem.streaming_windows
     ));
     out.push_str(&format!(
-        "  \"timeline\": {{ \"windows\": {}, \"samples\": {}, \"peak_buffered_entries\": {}, \"total_instructions\": {:.0}, \"rows\": [\n",
+        "  \"timeline\": {{ \"windows\": {}, \"samples\": {}, \"peak_run_log_words\": {}, \"total_instructions\": {:.0}, \"rows\": [\n",
         tl.windows.len(),
         tl.samples_seen,
-        tl.peak_buffered_entries,
+        tl.peak_run_log_words,
         tl.total_instructions
     ));
     let rows: Vec<String> = tl
@@ -265,10 +265,10 @@ fn main() {
     bench_streaming(&mut criterion, &case, quick);
     let mem = memory_facts(&case);
     println!(
-        "memory: recording {} bytes / {} LBR entries  vs  streaming peak {} entries over {} windows",
+        "memory: recording {} bytes / {} LBR entries  vs  streaming peak {} run-log words (4 bytes each) over {} windows",
         mem.recording_bytes,
         mem.recording_lbr_entries,
-        mem.streaming_peak_entries,
+        mem.streaming_peak_run_log_words,
         mem.streaming_windows
     );
     // The deterministic timeline (same as `experiments mix-timeline`).

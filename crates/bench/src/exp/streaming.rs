@@ -5,8 +5,8 @@
 //! [`OnlineAnalyzer`] with a time window narrower than one phase, so the
 //! alternating integer / SSE / AVX kernels reappear as alternating
 //! windows. The records never materialize as a [`hbbp_perf::PerfData`]:
-//! the collection session streams straight into the analyzer, and peak
-//! analyzer memory is bounded by the densest window.
+//! the collection session streams straight into the analyzer, and the
+//! analyzer's LBR run log is bounded by the densest window.
 
 use super::{pct, ExpOptions};
 use hbbp_core::{Analyzer, OnlineAnalyzer, SamplingPeriods, Window};
@@ -53,8 +53,8 @@ pub struct TimelineOutcome {
     /// Sum of per-window sample tallies (must equal `samples_seen` — the
     /// window-partition invariant, asserted by this module's tests).
     pub window_sample_sum: u64,
-    /// Peak LBR entries buffered by the online analyzer.
-    pub peak_buffered_entries: usize,
+    /// Peak size of the online analyzer's LBR run log, in 4-byte words.
+    pub peak_run_log_words: usize,
     /// Estimated instructions over all windows.
     pub total_instructions: f64,
 }
@@ -128,7 +128,7 @@ pub fn timeline(opts: &ExpOptions, n_windows: u64) -> TimelineOutcome {
         windows,
         samples_seen: outcome.samples_seen,
         window_sample_sum,
-        peak_buffered_entries: outcome.peak_buffered_entries,
+        peak_run_log_words: outcome.peak_run_log_words,
         total_instructions,
     }
 }
@@ -187,8 +187,8 @@ pub fn mix_timeline(opts: &ExpOptions) -> String {
     );
     let _ = writeln!(
         out,
-        "peak buffered LBR entries (streaming memory bound): {}",
-        outcome.peak_buffered_entries
+        "peak LBR run-log words, 4 bytes each (streaming memory bound): {}",
+        outcome.peak_run_log_words
     );
     out
 }

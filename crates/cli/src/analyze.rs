@@ -162,14 +162,18 @@ impl AnalyzeOptions {
         if self.window.is_some() {
             let rows: Vec<TimelineRow> = outcome
                 .windows
-                .iter()
+                .into_iter()
                 .map(|win| TimelineRow {
                     index: win.index as u64,
                     start_cycles: win.start_cycles,
                     end_cycles: win.end_cycles,
                     ebs_samples: win.ebs_samples,
                     lbr_samples: win.lbr_samples,
-                    mix: analyzer.mix(self.estimator.pick(&win.analysis)),
+                    // A closed window already carries its HBBP mix.
+                    mix: match self.estimator {
+                        Estimator::Hbbp => win.mix,
+                        _ => analyzer.mix(self.estimator.pick(&win.analysis)),
+                    },
                 })
                 .collect();
             return Ok(render::render_timeline(&rows, self.format));

@@ -168,8 +168,7 @@ impl WatchOptions {
         let mut flagged = 0usize;
         let mut max_divergence = 0.0f64;
         for win in &outcome.windows {
-            let mix = analyzer.mix(&win.analysis.hbbp.bbec);
-            let drift = MixDrift::between(&baseline, &mix);
+            let drift = MixDrift::between(&baseline, &win.mix);
             let divergence = drift.divergence();
             max_divergence = max_divergence.max(divergence);
             if divergence > self.tolerance {

@@ -9,12 +9,18 @@
 //! Estimation interns branch source addresses into dense ids once and
 //! keeps every per-branch statistic in a plain vector; per-stack dedup
 //! uses an epoch-stamped bitset (O(1) per entry); per-block weights are
-//! vectors indexed by [`BlockMap`] block index; stream walks reuse one
-//! buffer through [`BlockMap::walk_stream_into`], with small direct-mapped
-//! branch and stream caches in front of the hot lookups. Pass 2 needs the
-//! usable stacks again, so the caller keeps them: one exact-size `Vec`
-//! per stack in [`crate::OnlineAnalyzer`] (the one analysis driver), or
-//! borrowed slices of an in-memory recording in [`estimate`].
+//! vectors indexed by [`BlockMap`] block index; each distinct
+//! `<target, source>` pair is walked once through
+//! [`BlockMap::walk_stream_into`], with small direct-mapped branch and
+//! stream caches in front of the hot lookups.
+//!
+//! Both passes happen as each stack arrives. The walks, the per-block
+//! weights and the stream counts depend only on the map and the pair, so
+//! they are added up in observation order, exactly as the seed adds them.
+//! Only the share of weight from biased branches needs the bias verdict,
+//! which needs every stack's pass-1 statistics first. For that, each stack
+//! leaves a run log of one `u32` per run of identical streams, replayed at
+//! window close only when some branch was judged biased. No stack is kept.
 
 use hbbp_perf::PerfData;
 use hbbp_program::{Bbec, BlockMap, DenseBbec};
@@ -109,12 +115,44 @@ impl LbrEstimate {
 const BRANCH_CACHE_BITS: u32 = 10;
 const STREAM_CACHE_BITS: u32 = 10;
 
-/// The resumable heart of LBR estimation: pass-1 statistics (entry\[0\]
-/// occupancy, appearances, per-stack presence) stream in through
-/// [`LbrStats::observe_stack`]; pass 2 (stream decomposition and
-/// attribution, which needs the finished bias verdicts) runs in
-/// [`LbrStats::take_estimate`] over whatever stack storage the caller
-/// kept (see the module docs).
+/// Low bits of a run-log word that hold a run's length minus one; the
+/// high bits hold its pair id. A run of more identical streams is logged
+/// as several words.
+const RUN_BITS: u32 = 4;
+/// Streams one run-log word covers at most.
+const MAX_RUN: usize = 1 << RUN_BITS;
+/// Distinct `<target, source>` pairs one window can log: the pair id must
+/// fit the word's high bits. The pair table alone (a walk, a source id and
+/// a hash entry each) exhausts memory long before this many pairs.
+const MAX_PAIRS: usize = 1 << (32 - RUN_BITS);
+
+/// Empty slot of the direct-mapped stream cache.
+const NO_PAIR: (u64, u64, u32) = (0, 0, u32::MAX);
+
+/// One distinct `<target, source>` pair of the current window: a stream's
+/// walk is a pure function of the pair, so it is taken once and shared by
+/// every stream with the same pair.
+#[derive(Debug, Clone)]
+struct Pair {
+    /// The walk's covered block indices, a range of `LbrStats::walks`.
+    walk: std::ops::Range<usize>,
+    /// Branch id of the source (its bias verdict is known only at close).
+    source: u32,
+    derailed: bool,
+}
+
+/// The resumable heart of LBR estimation, one stack at a time.
+///
+/// [`LbrStats::observe_stack`] takes pass-1 statistics (entry\[0\]
+/// occupancy, appearances, per-stack presence) and does the whole stream
+/// decomposition at once: each stream adds its weight to the blocks it
+/// walks, in observation order, so the per-block sums are the seed's.
+/// Only the biased-weight share needs the bias verdicts, which pass 1 has
+/// finished only when the window closes. So each usable stack also goes
+/// to a compact **run log**: one word for its length, then one `u32` per
+/// run of identical streams (pair id and run length). At close,
+/// [`LbrStats::take_estimate`] judges bias and replays the log only if
+/// some branch was judged biased.
 ///
 /// Branch identity exploits the block map: a well-formed LBR source is a
 /// block **terminator** address, so its block index doubles as its branch
@@ -152,6 +190,24 @@ pub(crate) struct LbrStats<'m> {
     /// slot with `id == u32::MAX` is empty.
     branch_cache: Vec<(u64, u32)>,
     stacks: u64,
+    /// Direct-mapped `(target, source, pair id)` cache in front of
+    /// `pair_ids`: a recording's streams are drawn from the few hot loops'
+    /// branch pairs over and over. A slot with `id == u32::MAX` is empty.
+    stream_cache: Vec<(u64, u64, u32)>,
+    /// Every pair of the window → its id (an index into `pairs`).
+    pair_ids: HashMap<(u64, u64), u32>,
+    pairs: Vec<Pair>,
+    /// The pairs' walks, back to back.
+    walks: Vec<usize>,
+    /// Scratch buffer for [`BlockMap::walk_stream_into`].
+    walk_buf: Vec<usize>,
+    /// Per-block stream weight, by block index.
+    weight: Vec<f64>,
+    /// The run log: per usable stack, its length, then one word per run of
+    /// at most [`MAX_RUN`] identical streams, `id << RUN_BITS | (run - 1)`.
+    log: Vec<u32>,
+    streams: u64,
+    derailed: u64,
 }
 
 impl<'m> LbrStats<'m> {
@@ -171,6 +227,15 @@ impl<'m> LbrStats<'m> {
             memo: None,
             branch_cache: vec![(0, u32::MAX); 1 << BRANCH_CACHE_BITS],
             stacks: 0,
+            stream_cache: vec![NO_PAIR; 1 << STREAM_CACHE_BITS],
+            pair_ids: HashMap::new(),
+            pairs: Vec::new(),
+            walks: Vec::new(),
+            walk_buf: Vec::new(),
+            weight: vec![0.0; n],
+            log: Vec::new(),
+            streams: 0,
+            derailed: 0,
         }
     }
 
@@ -220,13 +285,45 @@ impl<'m> LbrStats<'m> {
         }
     }
 
-    /// Ingest one stack's pass-1 statistics (the sample's eventing IP is
-    /// **discarded**, paper §V.A). Returns `true` when the stack is usable
-    /// for pass-2 stream attribution (≥ 2 entries) — the caller must then
-    /// keep the stack and replay it to [`LbrStats::take_estimate`].
-    pub(crate) fn observe_stack(&mut self, entries: &[LbrEntry]) -> bool {
+    /// The id of the pair `<target, source>`, walking it on first sight.
+    /// `source` must already be interned (pass 1 interns every entry).
+    fn pair_id(&mut self, target: u64, source: u64) -> u32 {
+        let mixed = (target ^ source.rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let slot_idx = (mixed >> (64 - STREAM_CACHE_BITS)) as usize;
+        let slot = self.stream_cache[slot_idx];
+        if slot.2 != u32::MAX && slot.0 == target && slot.1 == source {
+            return slot.2;
+        }
+        let id = match self.pair_ids.get(&(target, source)) {
+            Some(&id) => id,
+            None => {
+                assert!(self.pairs.len() < MAX_PAIRS, "run-log pair ids exhausted");
+                let id = self.pairs.len() as u32;
+                let derailed = self
+                    .map
+                    .walk_stream_into(target, source, &mut self.walk_buf);
+                let start = self.walks.len();
+                self.walks.extend_from_slice(&self.walk_buf);
+                let source_id = self.intern(source) as u32;
+                self.pairs.push(Pair {
+                    walk: start..self.walks.len(),
+                    source: source_id,
+                    derailed,
+                });
+                self.pair_ids.insert((target, source), id);
+                id
+            }
+        };
+        self.stream_cache[slot_idx] = (target, source, id);
+        id
+    }
+
+    /// Ingest one stack (the sample's eventing IP is **discarded**, paper
+    /// §V.A): its pass-1 statistics and, for a usable stack (≥ 2 entries),
+    /// its streams' weights and its run-log words.
+    pub(crate) fn observe_stack(&mut self, entries: &[LbrEntry]) {
         if entries.is_empty() {
-            return false;
+            return;
         }
         self.stacks += 1;
         // Stack ordinal doubles as the dedup epoch (0 = never seen).
@@ -253,19 +350,79 @@ impl<'m> LbrStats<'m> {
             }
             i = j;
         }
-        entries.len() >= 2
+
+        let n = entries.len();
+        if n < 2 {
+            return;
+        }
+        let w = 1.0 / (n - 1) as f64;
+        self.log
+            .push(u32::try_from(n).expect("an LBR stack holds fewer than 2^32 entries"));
+        // The same loop fills the stack with identical streams too: walk
+        // once per run of one `<target, source>` pair, then replay the
+        // per-block `+= w` the run's length times. Each weight slot sees
+        // exactly the per-stream add sequence the seed performs, so results
+        // stay bit-identical.
+        let mut i = 1;
+        while i < n {
+            let target = entries[i - 1].to;
+            let source = entries[i].from;
+            let mut j = i + 1;
+            while j < n && entries[j - 1].to == target && entries[j].from == source {
+                j += 1;
+            }
+            let run = j - i;
+            let id = self.pair_id(target, source);
+            let pair = &self.pairs[id as usize];
+            self.streams += run as u64;
+            if pair.derailed {
+                self.derailed += run as u64;
+            }
+            add_run(&mut self.weight, &self.walks[pair.walk.clone()], w, run);
+            let mut left = run;
+            while left > 0 {
+                let k = left.min(MAX_RUN);
+                self.log.push(id << RUN_BITS | (k - 1) as u32);
+                left -= k;
+            }
+            i = j;
+        }
     }
 
-    /// Pass 2: judge branch bias from the pass-1 statistics, then walk and
-    /// attribute the streams of `stacks` — which must be exactly the
-    /// stacks [`LbrStats::observe_stack`] returned `true` for, in
-    /// observation order. Afterwards every pass-1 statistic is reset in
-    /// place, so the accumulator (and all its vectors, caches and overflow
-    /// tables) is ready for the next window without reallocating.
-    pub(crate) fn take_estimate<'a, I>(&mut self, stacks: I) -> LbrEstimate
-    where
-        I: IntoIterator<Item = &'a [LbrEntry]>,
-    {
+    /// Words in the run log: the accumulator's only term that grows with
+    /// the window's stream rather than with the program.
+    pub(crate) fn log_words(&self) -> usize {
+        self.log.len()
+    }
+
+    /// Per-block weight of the streams whose source is biased, by block
+    /// index: the run log replayed in observation order.
+    fn replay_biased(&self, branch_biased: &[bool]) -> Vec<f64> {
+        let mut biased_weight = vec![0.0; self.map.len()];
+        let mut words = self.log.iter();
+        while let Some(&n) = words.next() {
+            let w = 1.0 / (n - 1) as f64;
+            let mut left = n as usize - 1;
+            while left > 0 {
+                let word = *words.next().expect("a stack's runs follow its length");
+                let run = (word & (MAX_RUN as u32 - 1)) as usize + 1;
+                let pair = &self.pairs[(word >> RUN_BITS) as usize];
+                if branch_biased[pair.source as usize] {
+                    add_run(&mut biased_weight, &self.walks[pair.walk.clone()], w, run);
+                }
+                left -= run;
+            }
+        }
+        biased_weight
+    }
+
+    /// Judge branch bias from the pass-1 statistics, add up the biased
+    /// weight if any branch is biased, and build the estimate of every
+    /// stack observed since the last call. Afterwards every statistic, the
+    /// pair table and the run log are reset in place, so the accumulator
+    /// (and all its vectors, caches and tables) is ready for the next
+    /// window without reallocating.
+    pub(crate) fn take_estimate(&mut self) -> LbrEstimate {
         let map = self.map;
         // Bias judgement per branch (same rule as the seed: occupancy and
         // fair share conditional on presence, §III.C).
@@ -290,114 +447,20 @@ impl<'m> LbrStats<'m> {
                 biased_branches.insert(self.id_addr(id));
             }
         }
-
-        // Pass 2: stream decomposition and attribution over the buffered
-        // stacks, all in block-index coordinates.
-        let mut weight = vec![0.0f64; map.len()];
-        let mut biased_weight = vec![0.0f64; map.len()];
-        let mut derailed = 0u64;
-        let mut streams = 0u64;
-        // Direct-mapped stream cache: a recording's streams are drawn from
-        // the few hot loops' branch pairs over and over, so most walks can
-        // be replayed from a tiny cache keyed by `<target, source>`. A
-        // cached walk is a pure function of the pair, so replaying it is
-        // exact.
-        struct StreamSlot {
-            filled: bool,
-            target: u64,
-            source: u64,
-            derailed: bool,
-            blocks: Vec<usize>,
-        }
-        let mut stream_cache: Vec<StreamSlot> = (0..1usize << STREAM_CACHE_BITS)
-            .map(|_| StreamSlot {
-                filled: false,
-                target: 0,
-                source: 0,
-                derailed: false,
-                blocks: Vec::new(),
-            })
-            .collect();
-        let slot_of = |target: u64, source: u64| -> usize {
-            let mixed = (target ^ source.rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            (mixed >> (64 - STREAM_CACHE_BITS)) as usize
+        // Nothing biased is the common case: the log is then dropped
+        // unread and every block's biased weight is 0.
+        let biased_weight = if biased_branches.is_empty() {
+            Vec::new()
+        } else {
+            self.replay_biased(&branch_biased)
         };
-        // When nothing is biased (the common case), skip the per-stream
-        // source lookup entirely; otherwise memoize the last verdict —
-        // consecutive streams usually share their terminating branch.
-        let any_biased = branch_biased.iter().any(|&b| b);
-        let mut bias_memo: Option<(u64, bool)> = None;
-        for stack in stacks {
-            let n = stack.len();
-            let w = 1.0 / (n - 1) as f64;
-            // A loop iterating under a snapshot fills the stack with
-            // identical entries, so its streams come in **runs** of the
-            // same `<target, source>` pair: walk and classify once per
-            // run, then replay the per-block `+= w` the run's length
-            // times. Each weight slot sees exactly the per-stream add
-            // sequence the seed performs, so results stay bit-identical.
-            let mut i = 1;
-            while i < n {
-                let target = stack[i - 1].to;
-                let source = stack[i].from;
-                let mut j = i + 1;
-                while j < n && stack[j - 1].to == target && stack[j].from == source {
-                    j += 1;
-                }
-                let run = (j - i) as u64;
-                streams += run;
-                let slot = &mut stream_cache[slot_of(target, source)];
-                if !slot.filled || slot.target != target || slot.source != source {
-                    slot.derailed = map.walk_stream_into(target, source, &mut slot.blocks);
-                    slot.filled = true;
-                    slot.target = target;
-                    slot.source = source;
-                }
-                if slot.derailed {
-                    derailed += run;
-                }
-                let source_biased = any_biased
-                    && match bias_memo {
-                        Some((memo_source, verdict)) if memo_source == source => verdict,
-                        _ => {
-                            let id = match map.enclosing(source) {
-                                Some(bi) if map.blocks()[bi].terminator_addr() == source => {
-                                    Some(bi)
-                                }
-                                _ => self
-                                    .overflow_ids
-                                    .get(&source)
-                                    .map(|&o| map.len() + o as usize),
-                            };
-                            let verdict = id.is_some_and(|id| branch_biased[id]);
-                            bias_memo = Some((source, verdict));
-                            verdict
-                        }
-                    };
-                for &bi in &slot.blocks {
-                    let mut acc = weight[bi];
-                    for _ in 0..run {
-                        acc += w;
-                    }
-                    weight[bi] = acc;
-                    if source_biased {
-                        let mut acc = biased_weight[bi];
-                        for _ in 0..run {
-                            acc += w;
-                        }
-                        biased_weight[bi] = acc;
-                    }
-                }
-                i = j;
-            }
-        }
 
         let mut dense = DenseBbec::for_map(map);
         let mut bbec = Bbec::new();
         let mut biased_weight_fraction = HashMap::new();
         let mut biased_blocks = HashSet::new();
         let mut biased_idx = vec![false; map.len()];
-        for (bi, &w) in weight.iter().enumerate() {
+        for (bi, &w) in self.weight.iter().enumerate() {
             if w == 0.0 {
                 continue;
             }
@@ -408,7 +471,7 @@ impl<'m> LbrStats<'m> {
             // its entry even when a degenerate period of 0 zeroes the
             // value, like the address-keyed reference does.
             bbec.set(start, value);
-            let frac = biased_weight[bi] / w;
+            let frac = biased_weight.get(bi).map_or(0.0, |&b| b / w);
             biased_weight_fraction.insert(start, frac);
             if frac >= self.options.biased_weight_threshold {
                 biased_blocks.insert(start);
@@ -423,17 +486,17 @@ impl<'m> LbrStats<'m> {
             biased_branches,
             biased_weight_fraction,
             stacks: self.stacks,
-            derailed_streams: derailed,
-            streams,
+            derailed_streams: self.derailed,
+            streams: self.streams,
             period: self.period,
         };
         self.reset();
         estimate
     }
 
-    /// Clear every pass-1 statistic, keeping allocations: the stat vectors
-    /// shrink back to map length (dropping overflow tails), the caches
-    /// empty, and the epoch counter restarts.
+    /// Clear every statistic, the pair table and the run log, keeping
+    /// allocations: the stat vectors shrink back to map length (dropping
+    /// overflow tails), the caches empty, and the epoch counter restarts.
     fn reset(&mut self) {
         let n = self.map.len();
         self.overflow_ids.clear();
@@ -451,6 +514,26 @@ impl<'m> LbrStats<'m> {
         self.memo = None;
         self.branch_cache.fill((0, u32::MAX));
         self.stacks = 0;
+        self.stream_cache.fill(NO_PAIR);
+        self.pair_ids.clear();
+        self.pairs.clear();
+        self.walks.clear();
+        self.weight.fill(0.0);
+        self.log.clear();
+        self.streams = 0;
+        self.derailed = 0;
+    }
+}
+
+/// Add `w` to each block of `walk`, `run` times over: the per-block add
+/// sequence of `run` identical streams.
+fn add_run(weight: &mut [f64], walk: &[usize], w: f64, run: usize) {
+    for &bi in walk {
+        let mut acc = weight[bi];
+        for _ in 0..run {
+            acc += w;
+        }
+        weight[bi] = acc;
     }
 }
 
@@ -458,12 +541,10 @@ impl<'m> LbrStats<'m> {
 /// samples. Eventing IPs of those samples are **discarded** (paper §V.A).
 pub fn estimate(data: &PerfData, map: &BlockMap, period: u64, options: &LbrOptions) -> LbrEstimate {
     let mut stats = LbrStats::new(map, period, options.clone());
-    let kept: Vec<&[LbrEntry]> = data
-        .samples_of(EventSpec::br_inst_retired_near_taken())
-        .map(|sample| sample.lbr.as_slice())
-        .filter(|stack| stats.observe_stack(stack))
-        .collect();
-    stats.take_estimate(kept)
+    for sample in data.samples_of(EventSpec::br_inst_retired_near_taken()) {
+        stats.observe_stack(&sample.lbr);
+    }
+    stats.take_estimate()
 }
 
 #[cfg(test)]

@@ -3,22 +3,22 @@
 //! [`OnlineAnalyzer`] is the one analysis driver: it consumes one record
 //! at a time — straight off a collection session or a
 //! [`hbbp_perf::StreamDecoder`] — and keeps only what estimation
-//! fundamentally requires: the per-branch pass-1 statistics plus owned
-//! copies of the LBR stacks of the **current window**. Memory is bounded
-//! by window size, not run length, which is what makes long-running,
-//! phase-varying workloads profileable at all. Batch analysis of an
-//! in-memory recording ([`crate::Analyzer::analyze_fused`]) is an
-//! unwindowed run of the same driver.
+//! fundamentally requires: per-block and per-branch tallies sized by the
+//! program, a table of the window's distinct branch pairs, and a run log
+//! of one `u32` per run of identical LBR streams (see [`crate::lbr`]). No
+//! LBR stack outlives its sample. The run log is the only term that grows
+//! with the stream; it is cleared when its window closes. Batch analysis
+//! of an in-memory recording ([`crate::Analyzer::analyze_fused`]) is an
+//! unwindowed run of the same driver, borrowing the recording's stacks.
 //!
 //! Wire bytes arrive as zero-copy [`hbbp_perf::RecordView`]s
 //! ([`OnlineAnalyzer::push_view`]): as a [`hbbp_perf::ViewSink`] the
 //! analyzer plugs directly into [`hbbp_perf::StreamDecoder::decode_into`],
 //! LBR branch pairs are parsed straight out of the decoder's wire buffer
-//! into one exact-size stack `Vec`, and no owned [`PerfRecord`] ever
-//! exists. Owned records (a live collection session) arrive through the
-//! [`RecordSink`] impl, which moves each LBR stack into the window buffer.
-//! Either way a kept stack is one `Vec<LbrEntry>`, freed when its window
-//! closes. Both paths are pinned bit-identical by the property suite.
+//! into one reused scratch stack, and no owned [`PerfRecord`] ever exists.
+//! Owned records (a live collection session) arrive through the
+//! [`RecordSink`] impl, which reads each LBR stack in place. Both paths
+//! are pinned bit-identical by the property suite.
 //!
 //! Two consumption modes:
 //!
@@ -87,7 +87,9 @@ pub struct WindowedAnalysis {
     pub lbr_samples: u64,
     /// The three estimates over exactly this window's samples.
     pub analysis: Analysis,
-    /// HBBP instruction mix of the window.
+    /// HBBP instruction mix of the window; empty for the single
+    /// whole-stream window of an unwindowed run, whose callers read the
+    /// analysis instead.
     pub mix: MnemonicMix,
 }
 
@@ -106,9 +108,10 @@ pub struct OnlineOutcome {
     pub records_seen: u64,
     /// Profiled samples pushed (both collector events).
     pub samples_seen: u64,
-    /// High-water mark of buffered LBR stack entries — the analyzer's
-    /// dominant memory term; bounded by the densest window, not the run.
-    pub peak_buffered_entries: usize,
+    /// High-water mark of the LBR run log, in 4-byte words — the
+    /// analyzer's only memory term that grows with the stream; bounded by
+    /// the densest window, not the run.
+    pub peak_run_log_words: usize,
     /// Windows closed over the whole run, including windows drained early
     /// through [`OnlineAnalyzer::take_closed_windows`] (which
     /// `windows.len()` would miss).
@@ -145,8 +148,8 @@ pub struct OnlineAnalyzer<'a> {
     // Current-window accumulators.
     ebs: EbsAccum<'a>,
     lbr: LbrStats<'a>,
-    /// The current window's usable LBR stacks, one exact-size `Vec` each.
-    stacks: Vec<Vec<LbrEntry>>,
+    /// Reused buffer for the LBR entries of a wire sample.
+    scratch: Vec<LbrEntry>,
     // Current-window bookkeeping.
     win_samples: u64,
     win_ebs: u64,
@@ -156,7 +159,6 @@ pub struct OnlineAnalyzer<'a> {
     /// For [`Window::TimeCycles`]: the `t / width` key of the current
     /// window, set by its first sample.
     time_key: Option<u64>,
-    buffered_entries: usize,
     // Whole-run bookkeeping.
     windows: Vec<WindowedAnalysis>,
     /// Windows closed over the whole run, including ones already drained
@@ -165,7 +167,7 @@ pub struct OnlineAnalyzer<'a> {
     emitted: usize,
     records_seen: u64,
     samples_seen: u64,
-    peak_buffered_entries: usize,
+    peak_run_log_words: usize,
 }
 
 impl<'a> OnlineAnalyzer<'a> {
@@ -185,19 +187,18 @@ impl<'a> OnlineAnalyzer<'a> {
             window: None,
             ebs_event: EventSpec::inst_retired_prec_dist(),
             lbr_event: EventSpec::br_inst_retired_near_taken(),
-            stacks: Vec::new(),
+            scratch: Vec::new(),
             win_samples: 0,
             win_ebs: 0,
             win_lbr: 0,
             win_first_time: None,
             win_last_time: 0,
             time_key: None,
-            buffered_entries: 0,
             windows: Vec::new(),
             emitted: 0,
             records_seen: 0,
             samples_seen: 0,
-            peak_buffered_entries: 0,
+            peak_run_log_words: 0,
         }
     }
 
@@ -237,8 +238,8 @@ impl<'a> OnlineAnalyzer<'a> {
     }
 
     /// Consume one zero-copy record view ([`hbbp_perf::SampleView`] LBR
-    /// entries are parsed straight out of the wire buffer into the kept
-    /// stack — the fused ingest path never materializes an owned
+    /// entries are parsed straight out of the wire buffer into a reused
+    /// scratch stack — the fused ingest path never materializes an owned
     /// `PerfRecord`). Pinned bit-identical to the [`RecordSink`] ingest
     /// of the same record by `crates/core/tests/streaming_equivalence.rs`.
     pub fn push_view(&mut self, view: &RecordView<'_>) {
@@ -246,29 +247,24 @@ impl<'a> OnlineAnalyzer<'a> {
         if let RecordView::Sample(s) = view {
             // The EBS estimator discards LBR stacks (paper §V.A), so only
             // LBR-event samples have their entries parsed.
-            let stack = if s.event == self.lbr_event {
-                s.lbr_entries().collect()
-            } else {
-                Vec::new()
-            };
-            self.ingest(s.event, s.ip, s.time_cycles, stack);
+            let mut stack = std::mem::take(&mut self.scratch);
+            stack.clear();
+            if s.event == self.lbr_event {
+                stack.extend(s.lbr_entries());
+            }
+            self.ingest(s.event, s.ip, s.time_cycles, &stack);
+            self.scratch = stack;
         }
     }
 
     /// Consume one sample of an in-memory recording — the batch driver
-    /// behind [`Analyzer::analyze_fused`]. LBR stacks are cloned, since
-    /// the recording keeps its own.
+    /// behind [`Analyzer::analyze_fused`].
     pub(crate) fn push_sample(&mut self, s: &PerfSample) {
         self.records_seen += 1;
-        let stack = if s.event == self.lbr_event {
-            s.lbr.clone()
-        } else {
-            Vec::new()
-        };
-        self.ingest(s.event, s.ip, s.time_cycles, stack);
+        self.ingest(s.event, s.ip, s.time_cycles, &s.lbr);
     }
 
-    fn ingest(&mut self, event: EventSpec, ip: u64, time_cycles: u64, stack: Vec<LbrEntry>) {
+    fn ingest(&mut self, event: EventSpec, ip: u64, time_cycles: u64, stack: &[LbrEntry]) {
         let is_ebs = event == self.ebs_event;
         let is_lbr = event == self.lbr_event;
         if !is_ebs && !is_lbr {
@@ -284,11 +280,8 @@ impl<'a> OnlineAnalyzer<'a> {
             self.ebs.observe_ip(ip);
         } else {
             self.win_lbr += 1;
-            if self.lbr.observe_stack(&stack) {
-                self.buffered_entries += stack.len();
-                self.peak_buffered_entries = self.peak_buffered_entries.max(self.buffered_entries);
-                self.stacks.push(stack);
-            }
+            self.lbr.observe_stack(stack);
+            self.peak_run_log_words = self.peak_run_log_words.max(self.lbr.log_words());
         }
     }
 
@@ -309,19 +302,20 @@ impl<'a> OnlineAnalyzer<'a> {
     }
 
     /// Finish the current accumulators into a [`WindowedAnalysis`] and
-    /// reset them in place — accumulator tallies and caches are recycled
-    /// into the next window instead of being reallocated per window; the
-    /// window's stacks are freed.
+    /// reset them in place — accumulator tallies, caches and the run log
+    /// are recycled into the next window instead of being reallocated per
+    /// window.
     fn close_window(&mut self) {
         let map = self.analyzer.map();
         let ebs = self.ebs.take_estimate();
-        let lbr = self
-            .lbr
-            .take_estimate(self.stacks.iter().map(Vec::as_slice));
-        self.stacks.clear();
+        let lbr = self.lbr.take_estimate();
         let hbbp = hybrid::combine(map, &ebs, &lbr, &self.rule);
         let analysis = Analysis { ebs, lbr, hbbp };
-        let mix = self.analyzer.mix(&analysis.hbbp.bbec);
+        let mix = if self.window.is_some() {
+            self.analyzer.mix(&analysis.hbbp.bbec)
+        } else {
+            MnemonicMix::new()
+        };
         let (start_cycles, end_cycles) = match (self.window, self.time_key) {
             (Some(Window::TimeCycles(width)), Some(key)) => {
                 (key * width, key.saturating_add(1).saturating_mul(width))
@@ -344,7 +338,6 @@ impl<'a> OnlineAnalyzer<'a> {
         self.win_first_time = None;
         self.win_last_time = 0;
         self.time_key = None;
-        self.buffered_entries = 0;
     }
 
     /// End the stream: close the open window (an unwindowed run always
@@ -359,19 +352,18 @@ impl<'a> OnlineAnalyzer<'a> {
             windowed: self.window.is_some(),
             records_seen: self.records_seen,
             samples_seen: self.samples_seen,
-            peak_buffered_entries: self.peak_buffered_entries,
+            peak_run_log_words: self.peak_run_log_words,
             windows_closed: self.emitted,
         }
     }
 }
 
 impl RecordSink for OnlineAnalyzer<'_> {
-    /// Consume one owned record, moving its LBR stack into the window
-    /// buffer instead of cloning it.
+    /// Consume one owned record.
     fn record(&mut self, record: PerfRecord) {
         self.records_seen += 1;
         if let PerfRecord::Sample(s) = record {
-            self.ingest(s.event, s.ip, s.time_cycles, s.lbr);
+            self.ingest(s.event, s.ip, s.time_cycles, &s.lbr);
         }
     }
 }
@@ -625,24 +617,29 @@ mod tests {
     }
 
     #[test]
-    fn peak_buffer_is_bounded_by_window_not_run() {
+    fn run_log_words_are_bounded_by_window_not_run() {
+        // A stack of 8 identical loop entries is one run of 7 streams: one
+        // length word plus one run word. A 40-entry stack is a run of 39
+        // streams, split into words of 16, 16 and 7: four words in all.
         let fx = fixture();
         let (_, s_start, s_term, ..) = fx;
         let analyzer = &fx.0;
-        let run = |window: Option<Window>| {
+        let run = |window: Option<Window>, entries: usize| {
             let mut online = OnlineAnalyzer::new(analyzer, periods(), HybridRule::paper_default());
             if let Some(w) = window {
                 online = online.with_window(w);
             }
             for i in 0..200u64 {
-                online.record(lbr_at(s_term, s_start, 8, i * 10));
+                online.record(lbr_at(s_term, s_start, entries, i * 10));
             }
-            online.finish().peak_buffered_entries
+            online.finish().peak_run_log_words
         };
-        let unbounded = run(None);
-        let windowed = run(Some(Window::Samples(10)));
-        assert_eq!(unbounded, 200 * 8);
-        assert_eq!(windowed, 10 * 8);
+        assert_eq!(run(None, 8), 200 * 2);
+        assert_eq!(run(Some(Window::Samples(10)), 8), 10 * 2);
+        assert_eq!(run(None, 40), 200 * 4);
+        assert_eq!(run(Some(Window::Samples(10)), 40), 10 * 4);
+        // Single-entry stacks carry no stream and log nothing.
+        assert_eq!(run(None, 1), 0);
     }
 
     #[test]

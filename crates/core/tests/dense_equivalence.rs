@@ -130,6 +130,43 @@ fn arb_stacks() -> impl Strategy<Value = Vec<Vec<(usize, usize)>>> {
     )
 }
 
+/// One loop-stack segment `(kind, a, b, reps)`: `reps` copies of one
+/// entry — the self-loop of mapped block `a` for a nonzero `kind`, else
+/// the pool pair `(a, b)`, which may be unmapped or an overflow source.
+type Seg = (usize, usize, usize, usize);
+
+/// Loop-filled stacks: runs of identical streams longer than the run
+/// log's 16-stream words, which random stacks never produce.
+fn arb_loop_stacks() -> impl Strategy<Value = Vec<Vec<Seg>>> {
+    proptest::collection::vec(
+        proptest::collection::vec((0usize..3, 0usize..4096, 0usize..4096, 1usize..=32), 1..5),
+        0..24,
+    )
+}
+
+/// Expand segments into stacks of at most 32 `(from, to)` pool indices
+/// (the pool lists 3 fixed points, then 5 points per block with the
+/// block's start first and its terminator third).
+fn loop_stacks(fx: &Fx, stacks: &[Vec<Seg>]) -> Vec<Vec<(usize, usize)>> {
+    stacks
+        .iter()
+        .map(|segs| {
+            let mut stack = Vec::new();
+            for &(kind, a, b, reps) in segs {
+                let k = a % fx.map.len();
+                let entry = if kind == 0 {
+                    (a, b)
+                } else {
+                    (5 + 5 * k, 3 + 5 * k)
+                };
+                stack.extend(std::iter::repeat_n(entry, reps));
+            }
+            stack.truncate(32);
+            stack
+        })
+        .collect()
+}
+
 /// Loose LBR options so the bias machinery actually fires on small inputs.
 fn twitchy_options() -> LbrOptions {
     LbrOptions {
@@ -218,6 +255,31 @@ proptest! {
         prop_assert_eq!(&fused.hbbp.choices, &seed.hbbp.choices);
     }
 
+    /// `lbr::estimate` ≡ the seed path on loop-filled stacks, whose runs
+    /// of identical streams split across run-log words, with bias
+    /// verdicts that make the close replay the log.
+    #[test]
+    fn lbr_run_log_matches_seed_on_loop_stacks(
+        bodies in proptest::collection::vec(1usize..28, 1..5),
+        stacks in arb_loop_stacks(),
+        period in 0u64..100_000,
+    ) {
+        let fx = fixture(&bodies);
+        let data = build_data(&fx, &[], &loop_stacks(&fx, &stacks));
+        let options = twitchy_options();
+        let fast = lbr::estimate(&data, &fx.map, period, &options);
+        let seed = hbbp_oracle::lbr_estimate_ref(&data, &fx.map, period, &options);
+        prop_assert_eq!(&fast.bbec, &seed.bbec);
+        prop_assert_eq!(&fast.dense, &seed.dense);
+        prop_assert_eq!(&fast.biased_blocks, &seed.biased_blocks);
+        prop_assert_eq!(&fast.biased_idx, &seed.biased_idx);
+        prop_assert_eq!(&fast.biased_branches, &seed.biased_branches);
+        prop_assert_eq!(&fast.biased_weight_fraction, &seed.biased_weight_fraction);
+        prop_assert_eq!(fast.stacks, seed.stacks);
+        prop_assert_eq!(fast.streams, seed.streams);
+        prop_assert_eq!(fast.derailed_streams, seed.derailed_streams);
+    }
+
     /// `hybrid::combine` on dense estimates ≡ `hbbp_oracle::combine_ref` on the
     /// same estimates, across every rule variant.
     #[test]
@@ -298,6 +360,44 @@ fn lbr_index_and_reference_paths_agree() {
     assert_eq!(fast.biased_branches, seed.biased_branches);
     assert_eq!(fast.biased_weight_fraction, seed.biased_weight_fraction);
     assert_eq!(fast.stacks, seed.stacks);
+    assert_eq!(fast.streams, seed.streams);
+    assert_eq!(fast.derailed_streams, seed.derailed_streams);
+}
+
+#[test]
+fn long_runs_of_a_biased_branch_match_seed() {
+    // Runs of 31 and 19 identical streams (split into 16-stream log
+    // words) whose source `a` sticks at entry[0], so the close replays the
+    // log; `b`, one byte past `a`, is an overflow source.
+    let fx = fixture(&[4, 9]);
+    let head = &fx.map.blocks()[0];
+    let a = LbrEntry {
+        from: head.terminator_addr(),
+        to: head.start,
+    };
+    let b = LbrEntry {
+        from: head.terminator_addr() + 1,
+        to: head.start,
+    };
+    let mut data = PerfData::new();
+    for i in 0..12 {
+        let mut stack = vec![a];
+        match i % 3 {
+            0 => stack.extend([b; 31]),
+            1 => stack.extend([a; 20].into_iter().chain([b; 11])),
+            _ => stack = vec![b; 32],
+        }
+        data.push(lbr_sample(stack));
+    }
+    let options = twitchy_options();
+    let fast = lbr::estimate(&data, &fx.map, 250, &options);
+    let seed = hbbp_oracle::lbr_estimate_ref(&data, &fx.map, 250, &options);
+    assert!(fast.biased_branches.contains(&a.from), "a must be biased");
+    assert_eq!(fast.bbec, seed.bbec);
+    assert_eq!(fast.dense, seed.dense);
+    assert_eq!(fast.biased_blocks, seed.biased_blocks);
+    assert_eq!(fast.biased_branches, seed.biased_branches);
+    assert_eq!(fast.biased_weight_fraction, seed.biased_weight_fraction);
     assert_eq!(fast.streams, seed.streams);
     assert_eq!(fast.derailed_streams, seed.derailed_streams);
 }

@@ -148,6 +148,43 @@ fn arb_stacks() -> impl Strategy<Value = Vec<Vec<(usize, usize)>>> {
     )
 }
 
+/// One loop-stack segment `(kind, a, b, reps)`: `reps` copies of one
+/// entry — the self-loop of mapped block `a` for a nonzero `kind`, else
+/// the pool pair `(a, b)`, which may be unmapped or an overflow source.
+type Seg = (usize, usize, usize, usize);
+
+/// Loop-filled stacks: runs of identical streams longer than the run
+/// log's 16-stream words, which random stacks never produce.
+fn arb_loop_stacks() -> impl Strategy<Value = Vec<Vec<Seg>>> {
+    proptest::collection::vec(
+        proptest::collection::vec((0usize..3, 0usize..4096, 0usize..4096, 1usize..=32), 1..5),
+        0..24,
+    )
+}
+
+/// Expand segments into stacks of at most 32 `(from, to)` pool indices
+/// (the pool lists 3 fixed points, then 5 points per block with the
+/// block's start first and its terminator third).
+fn loop_stacks(fx: &Fx, stacks: &[Vec<Seg>]) -> Vec<Vec<(usize, usize)>> {
+    stacks
+        .iter()
+        .map(|segs| {
+            let mut stack = Vec::new();
+            for &(kind, a, b, reps) in segs {
+                let k = a % fx.map.len();
+                let entry = if kind == 0 {
+                    (a, b)
+                } else {
+                    (5 + 5 * k, 3 + 5 * k)
+                };
+                stack.extend(std::iter::repeat_n(entry, reps));
+            }
+            stack.truncate(32);
+            stack
+        })
+        .collect()
+}
+
 /// Loose LBR options so the bias machinery actually fires on small inputs.
 fn twitchy_options() -> LbrOptions {
     LbrOptions {
@@ -428,7 +465,56 @@ proptest! {
         }
         prop_assert_eq!(fused_out.records_seen, owned_out.records_seen);
         prop_assert_eq!(fused_out.samples_seen, owned_out.samples_seen);
-        prop_assert_eq!(fused_out.peak_buffered_entries, owned_out.peak_buffered_entries);
+        prop_assert_eq!(fused_out.peak_run_log_words, owned_out.peak_run_log_words);
+    }
+
+    /// Loop-filled stacks through the fused wire path, unwindowed and in
+    /// sample-count windows: the whole run ≡ the seed pipeline, and each
+    /// window ≡ the seed pipeline over exactly its slice. Runs of
+    /// identical streams split across run-log words, and the bias
+    /// verdicts make each close replay the log.
+    #[test]
+    fn loop_stacks_match_seed_whole_and_windowed(
+        bodies in proptest::collection::vec(1usize..28, 1..4),
+        ips in proptest::collection::vec(0usize..4096, 0..60),
+        stacks in arb_loop_stacks(),
+        window_samples in 1u64..40,
+        cutoff in 0usize..40,
+    ) {
+        let fx = fixture(&bodies);
+        let data = build_data(&fx, &ips, &loop_stacks(&fx, &stacks));
+        let analyzer = analyzer_for(&fx);
+        let periods = SamplingPeriods { ebs: 733, lbr: 211 };
+        let rule = HybridRule::LengthCutoff(cutoff);
+        let bytes = codec::write(&data);
+        let run = |window: Option<Window>| {
+            let mut online = OnlineAnalyzer::new(&analyzer, periods, rule.clone());
+            if let Some(w) = window {
+                online = online.with_window(w);
+            }
+            let mut decoder = StreamDecoder::new();
+            decoder.feed(&bytes);
+            decoder.decode_into(&mut online).expect("valid stream");
+            decoder.finish().expect("clean end of stream");
+            online.finish()
+        };
+
+        let seed = hbbp_oracle::analyze_ref(&analyzer, &data, periods, &rule);
+        assert_analysis_eq(&run(None).into_analysis().expect("unwindowed"), &seed);
+
+        let outcome = run(Some(Window::Samples(window_samples)));
+        let mut remaining: Vec<&PerfRecord> = data
+            .records()
+            .iter()
+            .filter(|r| matches!(r, PerfRecord::Sample(_)))
+            .collect();
+        for w in &outcome.windows {
+            let n = (w.ebs_samples + w.lbr_samples) as usize;
+            let slice: PerfData = remaining.drain(..n).cloned().collect();
+            let slice_seed = hbbp_oracle::analyze_ref(&analyzer, &slice, periods, &rule);
+            assert_analysis_eq(&w.analysis, &slice_seed);
+        }
+        prop_assert!(remaining.is_empty());
     }
 
     /// Time windows also partition the stream (bounds disjoint, ordered,
