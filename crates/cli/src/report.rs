@@ -140,7 +140,9 @@ impl ReportOptions {
                 let store = ProfileStore::open(path).map_err(|e| {
                     CliError::Failed(format!("cannot open {}: {e}", path.display()))
                 })?;
-                let snap = store.snapshot();
+                let snap = store.try_snapshot().map_err(|e| {
+                    CliError::Failed(format!("cannot read {}: {e}", path.display()))
+                })?;
                 if self.timeline {
                     let rows: Vec<TimelineRow> = snap
                         .windows

@@ -107,12 +107,17 @@ impl StoreOptions {
             ProfileStore::open(path)
                 .map_err(|e| CliError::Failed(format!("cannot open {}: {e}", path.display())))
         };
+        let snapshot = |store: &ProfileStore, path: &PathBuf| {
+            store
+                .try_snapshot()
+                .map_err(|e| CliError::Failed(format!("cannot read {}: {e}", path.display())))
+        };
         let mut out = String::new();
         match &self.action {
             StoreAction::Stats(files) => {
                 for path in files {
                     let store = open(path)?;
-                    let snap = store.snapshot();
+                    let snap = snapshot(&store, path)?;
                     let (ebs, lbr) = snap.total_samples();
                     let report = store.open_report();
                     let _ = writeln!(out, "{}", path.display());
@@ -150,7 +155,7 @@ impl StoreOptions {
                 let mut dest = open(into)?;
                 for path in sources {
                     let src = open(path)?;
-                    let snap = src.snapshot();
+                    let snap = snapshot(&src, path)?;
                     if dest.identity().is_none() {
                         if let Some(id) = &snap.identity {
                             dest.set_identity(id.clone()).map_err(|e| {
@@ -169,13 +174,12 @@ impl StoreOptions {
                         snap.windows.len()
                     );
                 }
-                let snap = dest.snapshot();
                 let _ = writeln!(
                     out,
                     "{}: {} counts frames, {} window frames, {} bytes",
                     into.display(),
-                    snap.counts.len(),
-                    snap.windows.len(),
+                    dest.counts().len(),
+                    dest.window_frames(),
                     dest.file_bytes()
                 );
             }

@@ -293,7 +293,9 @@ impl SynthOptions {
     fn store_target(&self, path: &PathBuf) -> Result<(MnemonicMix, String), CliError> {
         let store = ProfileStore::open(path)
             .map_err(|e| CliError::Failed(format!("cannot open {}: {e}", path.display())))?;
-        let snapshot = store.snapshot();
+        let snapshot = store
+            .try_snapshot()
+            .map_err(|e| CliError::Failed(format!("cannot read {}: {e}", path.display())))?;
         if let Some(n) = self.window {
             // Window frames carry their mix directly — no analyzer (and
             // no source workload) needed.

@@ -145,7 +145,9 @@ impl WatchOptions {
                 w.name()
             )));
         }
-        let snapshot = store.snapshot();
+        let snapshot = store.try_snapshot().map_err(|e| {
+            CliError::Failed(format!("cannot read {}: {e}", self.baseline.display()))
+        })?;
         let epoch = counts_epoch(&snapshot, self.epoch, &self.baseline)?;
         Ok((epoch, analyzer.mix(&snapshot.epoch_aggregate(epoch))))
     }

@@ -437,24 +437,34 @@ pub(crate) fn encode_frame(frame: &Frame) -> Vec<u8> {
     out
 }
 
+/// Total length (overhead + payload) of the frame starting `bytes`, as
+/// its length word declares; `None` while the frame header is not all
+/// there.
+pub(crate) fn frame_len(bytes: &[u8]) -> Option<usize> {
+    let header = bytes.get(..FRAME_OVERHEAD)?;
+    let len = u32::from_le_bytes(header[1..5].try_into().expect("4 length bytes"));
+    Some(FRAME_OVERHEAD + len as usize)
+}
+
+/// Whether a whole frame's checksum holds (over type, length and
+/// payload).
+pub(crate) fn crc_holds(frame: &[u8]) -> bool {
+    let crc = u32::from_le_bytes(frame[5..9].try_into().expect("4 crc bytes"));
+    crc32_parts(&[&frame[..5], &frame[FRAME_OVERHEAD..]]) == crc
+}
+
 /// Try to decode the frame at the start of `bytes`.
 pub(crate) fn read_frame(bytes: &[u8]) -> FrameOutcome {
-    if bytes.len() < FRAME_OVERHEAD {
-        return FrameOutcome::Incomplete;
-    }
-    let rtype = bytes[0];
-    let len = u32::from_le_bytes(bytes[1..5].try_into().expect("4 length bytes")) as usize;
-    let crc = u32::from_le_bytes(bytes[5..9].try_into().expect("4 crc bytes"));
-    let Some(payload) = bytes.get(FRAME_OVERHEAD..FRAME_OVERHEAD + len) else {
+    let Some(frame) = frame_len(bytes).and_then(|len| bytes.get(..len)) else {
         return FrameOutcome::Incomplete;
     };
-    if crc32_parts(&[&bytes[..5], payload]) != crc {
+    if !crc_holds(frame) {
         return FrameOutcome::Corrupt;
     }
-    match decode_payload(rtype, payload) {
-        Ok(frame) => FrameOutcome::Frame {
-            frame,
-            consumed: FRAME_OVERHEAD + len,
+    match decode_payload(frame[0], &frame[FRAME_OVERHEAD..]) {
+        Ok(decoded) => FrameOutcome::Frame {
+            frame: decoded,
+            consumed: frame.len(),
         },
         Err(()) => FrameOutcome::Corrupt,
     }

@@ -8,6 +8,17 @@
 //! truncating at the first frame that fails its checksum or ends early —
 //! the file-layer version of the perf stream decoder's resilience.
 //!
+//! ## What stays in memory
+//!
+//! An open store keeps what its queries fold: the identity and every
+//! counts frame with its epoch stamp. Window frames are checked, encoded
+//! and written, then only **counted** — the timeline is a record for
+//! offline readers, not something a query reads, so an always-on daemon
+//! does not grow with it. [`ProfileStore::snapshot`] and
+//! [`ProfileStore::windows`] read the windows back from the log;
+//! [`ProfileStore::open`] and [`ProfileStore::compact`] stream the log
+//! through a bounded buffer rather than reading it whole.
+//!
 //! ## Merge semantics (what "lossless" means here)
 //!
 //! The aggregate profile of a store is a **deterministic fold**: within
@@ -37,21 +48,26 @@
 //! after their raw frames are gone.
 
 use crate::frame::{
-    encode_frame, read_frame, CountsRecord, Frame, FrameOutcome, ModuleSpan, StoreIdentity,
-    WindowRecord, HEADER_LEN, MAGIC, VERSION,
+    crc_holds, encode_frame, frame_len, read_frame, CountsRecord, Frame, FrameOutcome, ModuleSpan,
+    StoreIdentity, WindowRecord, FRAME_OVERHEAD, HEADER_LEN, MAGIC, T_EPOCH, T_WINDOW, VERSION,
 };
 use hbbp_program::{Bbec, BlockMap};
 use hbbp_workloads::Workload;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 /// Source id used for the fold frame written by
 /// [`ProfileStore::compact`]. `u32::MAX` sorts after every live source,
 /// so post-compaction appends keep a deterministic fold order.
 pub const COMPACTED_SOURCE: u32 = u32::MAX;
+
+/// Bytes one log read asks for. A longer frame is read whole, so a
+/// reader holds at most one chunk or one frame.
+const READ_CHUNK: usize = 64 * 1024;
 
 /// Errors opening or writing a profile store.
 #[derive(Debug)]
@@ -102,6 +118,15 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
+/// The error for a log whose bytes no longer read back as they did when
+/// the store opened or wrote them (the file was changed underneath it).
+fn log_changed() -> StoreError {
+    StoreError::Io(io::Error::new(
+        io::ErrorKind::InvalidData,
+        "the store log changed on disk since it was opened",
+    ))
+}
+
 /// What [`ProfileStore::open`] found and did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpenReport {
@@ -143,6 +168,62 @@ pub struct Snapshot {
     pub window_epochs: Vec<u32>,
 }
 
+/// Merge `other` (ascending by address) into the address-sorted table
+/// `acc` the way [`Bbec::merge`] adds: a key's first count lands as
+/// `0.0 + c`, later counts are added in order. One walk over both adds
+/// to the keys `acc` holds in place; new keys gather in `spare` and join
+/// `acc` as a second sorted run.
+fn merge_sorted(
+    acc: &mut Vec<(u64, f64)>,
+    other: impl Iterator<Item = (u64, f64)>,
+    spare: &mut Vec<(u64, f64)>,
+) {
+    spare.clear();
+    let mut i = 0;
+    for (addr, count) in other {
+        while acc.get(i).is_some_and(|&(a, _)| a < addr) {
+            i += 1;
+        }
+        match acc.get_mut(i) {
+            Some((a, c)) if *a == addr => *c += count,
+            _ => spare.push((addr, 0.0 + count)),
+        }
+    }
+    if !spare.is_empty() {
+        acc.extend_from_slice(spare);
+        // Two sorted runs of distinct keys: the stable sort merges them
+        // in one linear pass.
+        acc.sort_by_key(|&(a, _)| a);
+    }
+}
+
+/// Left-fold records into an address-sorted table (see
+/// `merge_sorted`).
+fn fold<'a>(records: impl IntoIterator<Item = &'a CountsRecord>) -> Vec<(u64, f64)> {
+    let (mut acc, mut spare) = (Vec::new(), Vec::new());
+    for rec in records {
+        merge_sorted(&mut acc, rec.bbec.iter(), &mut spare);
+    }
+    acc
+}
+
+/// The table of a fold, every count kept bit for bit.
+fn to_bbec(entries: Vec<(u64, f64)>) -> Bbec {
+    let mut bbec = Bbec::new();
+    for (addr, count) in entries {
+        bbec.set(addr, count);
+    }
+    bbec
+}
+
+/// Counts-frame indices in canonical fold order: one stable sort by
+/// `(epoch, source, seq)`, so frames sharing a key keep their log order.
+fn fold_order(counts: &[CountsRecord], epochs: &[u32]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..counts.len()).collect();
+    order.sort_by_key(|&i| (epochs[i], counts[i].source, counts[i].seq));
+    order
+}
+
 impl Snapshot {
     /// The canonical aggregate: each epoch's records sorted by
     /// `(source, seq)` and folded left to right with [`Bbec::merge`],
@@ -152,11 +233,7 @@ impl Snapshot {
     /// records with exactly its fold — bit-identical before and after
     /// [`ProfileStore::compact`].
     pub fn aggregate(&self) -> Bbec {
-        let mut acc = Bbec::new();
-        for epoch in self.epochs() {
-            acc.merge(&self.epoch_aggregate(epoch));
-        }
-        acc
+        aggregate(&self.counts, &self.counts_epochs)
     }
 
     /// Distinct epochs with at least one counts or window frame,
@@ -185,11 +262,7 @@ impl Snapshot {
             .map(|(r, _)| r)
             .collect();
         order.sort_by_key(|r| (r.source, r.seq));
-        let mut acc = Bbec::new();
-        for rec in order {
-            acc.merge(&rec.bbec);
-        }
-        acc
+        to_bbec(fold(order))
     }
 
     /// Per-epoch frame/sample accounting, ascending by epoch.
@@ -254,8 +327,73 @@ impl Snapshot {
     }
 }
 
+/// The canonical aggregate of counts frames and their epoch stamps (see
+/// [`Snapshot::aggregate`]): one sorted pass, each epoch folded, then
+/// the epoch folds folded in epoch order.
+fn aggregate(counts: &[CountsRecord], epochs: &[u32]) -> Bbec {
+    let (mut acc, mut spare) = (Vec::new(), Vec::new());
+    let order = fold_order(counts, epochs);
+    for group in order.chunk_by(|&a, &b| epochs[a] == epochs[b]) {
+        let epoch = fold(group.iter().map(|&i| &counts[i]));
+        merge_sorted(&mut acc, epoch.into_iter(), &mut spare);
+    }
+    to_bbec(acc)
+}
+
+/// The frames of a file region `[at, end)`, read through a bounded
+/// buffer with positional reads, so the file's append cursor never
+/// moves. A length word is believed only as far as the bytes left in
+/// the region: a frame that claims more ends the region instead of
+/// sizing a read.
+struct LogReader {
+    /// File offset of `buf[head]`.
+    at: u64,
+    end: u64,
+    buf: Vec<u8>,
+    head: usize,
+}
+
+impl LogReader {
+    fn new(at: u64, end: u64) -> LogReader {
+        LogReader {
+            at,
+            end,
+            buf: Vec::new(),
+            head: 0,
+        }
+    }
+
+    /// The next whole frame's bytes, its checksum not yet checked, or
+    /// `None` at the end of the region or where a frame would run past
+    /// it (`at` then tells which).
+    fn next(&mut self, file: &File) -> io::Result<Option<&[u8]>> {
+        let left = self.end - self.at;
+        loop {
+            let held = &self.buf[self.head..];
+            let need = frame_len(held).unwrap_or(FRAME_OVERHEAD);
+            if need as u64 > left {
+                return Ok(None);
+            }
+            if held.len() >= need {
+                let start = self.head;
+                self.head += need;
+                self.at += need as u64;
+                return Ok(Some(&self.buf[start..self.head]));
+            }
+            // Hold `want` bytes from `at` on: drop what was returned,
+            // then read what is missing.
+            let want = need.max(READ_CHUNK).min(left as usize);
+            self.buf.drain(..self.head);
+            self.head = 0;
+            let have = self.buf.len();
+            self.buf.resize(want, 0);
+            file.read_exact_at(&mut self.buf[have..], self.at + have as u64)?;
+        }
+    }
+}
+
 /// An open, append-only profile store file. See the module docs for the
-/// format and the merge semantics.
+/// format, the merge semantics and what is kept in memory.
 #[derive(Debug)]
 pub struct ProfileStore {
     path: PathBuf,
@@ -268,9 +406,10 @@ pub struct ProfileStore {
     pending: Vec<u8>,
     identity: Option<StoreIdentity>,
     counts: Vec<CountsRecord>,
-    windows: Vec<WindowRecord>,
     counts_epochs: Vec<u32>,
-    window_epochs: Vec<u32>,
+    /// Window frames in the log and the pending buffer; the frames
+    /// themselves are not kept.
+    window_frames: u64,
     next_seq: HashMap<u32, u32>,
     /// Epoch stamped onto the next counts/window append.
     current_epoch: u32,
@@ -286,7 +425,10 @@ impl ProfileStore {
     /// Open (or create) the store at `path`, recovering from a torn tail:
     /// the log is replayed frame by frame and truncated at the first
     /// frame whose checksum fails or that ends mid-frame. Every complete,
-    /// checksum-valid frame before that point survives.
+    /// checksum-valid frame before that point survives. The replay
+    /// streams the file through a bounded buffer; a length word that
+    /// reaches past the end of the file is a torn tail, never a read of
+    /// that size.
     ///
     /// # Errors
     ///
@@ -295,76 +437,63 @@ impl ProfileStore {
     /// reported in [`ProfileStore::open_report`].
     pub fn open(path: impl AsRef<Path>) -> Result<ProfileStore, StoreError> {
         let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(&path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        let existed = !bytes.is_empty();
-
+        let file_len = file.metadata()?.len();
         let mut store = ProfileStore {
             path,
             file,
-            len: 0,
+            len: HEADER_LEN as u64,
             pending: Vec::new(),
             identity: None,
             counts: Vec::new(),
-            windows: Vec::new(),
             counts_epochs: Vec::new(),
-            window_epochs: Vec::new(),
+            window_frames: 0,
             next_seq: HashMap::new(),
             current_epoch: 0,
             marked_epoch: 0,
             report: OpenReport {
                 frames: 0,
                 truncated_bytes: 0,
-                existed,
+                existed: file_len > 0,
             },
         };
 
-        if !existed {
-            store.file.write_all(MAGIC)?;
-            store.file.write_all(&VERSION.to_le_bytes())?;
-            store.file.flush()?;
-            store.len = HEADER_LEN as u64;
-            return Ok(store);
-        }
-
-        // Header: a short file that is a prefix of a valid header is a
-        // torn header write — restart the file; anything else is foreign.
-        if bytes.len() < HEADER_LEN {
-            let n = bytes.len().min(MAGIC.len());
-            if bytes[..n] != MAGIC[..n] {
+        // Header: a new file, or a short one that is a prefix of a valid
+        // header (a torn header write), starts over; anything else short
+        // is foreign.
+        let mut header = [0u8; HEADER_LEN];
+        let held = file_len.min(HEADER_LEN as u64) as usize;
+        store.file.read_exact_at(&mut header[..held], 0)?;
+        if held < HEADER_LEN {
+            let n = held.min(MAGIC.len());
+            if header[..n] != MAGIC[..n] {
                 return Err(StoreError::NotAStore);
             }
-            store.report.truncated_bytes = bytes.len() as u64;
+            store.report.truncated_bytes = file_len;
             store.file.set_len(0)?;
             store.file.seek(SeekFrom::Start(0))?;
             store.file.write_all(MAGIC)?;
             store.file.write_all(&VERSION.to_le_bytes())?;
             store.file.flush()?;
-            store.len = HEADER_LEN as u64;
             return Ok(store);
         }
-        if &bytes[..MAGIC.len()] != MAGIC {
+        if &header[..MAGIC.len()] != MAGIC {
             return Err(StoreError::NotAStore);
         }
-        let version = u32::from_le_bytes(
-            bytes[MAGIC.len()..HEADER_LEN]
-                .try_into()
-                .expect("4 version bytes"),
-        );
+        let version = u32::from_le_bytes(header[MAGIC.len()..].try_into().expect("4 bytes"));
         if version != VERSION {
             return Err(StoreError::BadVersion(version));
         }
 
         // Replay frames; stop (and truncate) at the first bad one.
-        let mut pos = HEADER_LEN;
-        'replay: while pos < bytes.len() {
-            match read_frame(&bytes[pos..]) {
+        let mut log = LogReader::new(store.len, file_len);
+        'replay: while let Some(bytes) = log.next(&store.file)? {
+            match read_frame(bytes) {
                 FrameOutcome::Frame { frame, consumed } => {
                     if let Some(frame) = frame {
                         match store.apply(frame) {
@@ -382,13 +511,12 @@ impl ProfileStore {
                         }
                     }
                     store.report.frames += 1;
-                    pos += consumed;
+                    store.len += consumed as u64;
                 }
                 FrameOutcome::Incomplete | FrameOutcome::Corrupt => break,
             }
         }
-        store.report.truncated_bytes = (bytes.len() - pos) as u64;
-        store.len = pos as u64;
+        store.report.truncated_bytes = file_len - store.len;
         store.file.set_len(store.len)?;
         store.file.seek(SeekFrom::Start(store.len))?;
         Ok(store)
@@ -415,7 +543,8 @@ impl ProfileStore {
         Ok(store)
     }
 
-    /// Apply a replayed frame to the in-memory mirror.
+    /// Apply a replayed frame to the in-memory state: identity, counts
+    /// and sequence numbers, epoch; a window frame is only counted.
     fn apply(&mut self, frame: Frame) -> Result<(), StoreError> {
         match frame {
             Frame::Identity(id) => match &self.identity {
@@ -432,10 +561,7 @@ impl ProfileStore {
                 self.counts.push(rec);
                 self.counts_epochs.push(self.current_epoch);
             }
-            Frame::Window(rec) => {
-                self.windows.push(rec);
-                self.window_epochs.push(self.current_epoch);
-            }
+            Frame::Window(_) => self.window_frames += 1,
             Frame::Epoch(epoch) => {
                 // Markers must ascend; a regressing marker is treated as
                 // corruption by the replay loop (identity-mismatch
@@ -455,23 +581,14 @@ impl ProfileStore {
         self.pending.extend_from_slice(&encode_frame(frame));
     }
 
-    /// Append one frame to the log. The frame is handed to the OS before
-    /// returning, but **not fsynced** — a host crash can lose recently
-    /// appended frames (they reappear as a clean or torn tail that
-    /// [`ProfileStore::open`] recovers from; per-frame `sync_all` would
-    /// dominate ingest cost). [`ProfileStore::compact`] is the fsync
-    /// point.
-    fn append_frame(&mut self, frame: &Frame) -> Result<(), StoreError> {
-        self.buffer_frame(frame);
-        self.commit()
-    }
-
     /// Flush every deferred append to the file as **one** write (group
     /// commit). A no-op when nothing is pending. On success, everything
-    /// accepted by a `*_deferred` call is in the log (still OS-buffered,
-    /// not fsynced — see [`ProfileStore::compact`] for the fsync point);
-    /// on failure the pending bytes are kept so a retry is possible, but
-    /// the in-memory mirror already reflects the deferred frames, so
+    /// accepted by a `*_deferred` call is handed to the OS but **not
+    /// fsynced**: a host crash can lose recent frames, which reappear as
+    /// a clean or torn tail that [`ProfileStore::open`] recovers from
+    /// ([`ProfileStore::compact`] is the fsync point). On failure the
+    /// pending bytes are kept so a retry is possible, but the in-memory
+    /// counts and window tally already include the deferred frames, so
     /// callers that cannot retry should treat the store as poisoned.
     ///
     /// # Errors
@@ -524,7 +641,8 @@ impl ProfileStore {
             Some(existing) if *existing == identity => Ok(()),
             Some(_) => Err(StoreError::IdentityMismatch),
             None => {
-                self.append_frame(&Frame::Identity(identity.clone()))?;
+                self.buffer_frame(&Frame::Identity(identity.clone()));
+                self.commit()?;
                 self.identity = Some(identity);
                 Ok(())
             }
@@ -554,8 +672,9 @@ impl ProfileStore {
     /// [`ProfileStore::append_counts`] without the write: the frame is
     /// buffered until the next [`ProfileStore::commit`] (or any
     /// non-deferred append), so a writer can batch many appends into one
-    /// file write. The assigned `seq` and the in-memory mirror (and thus
-    /// [`ProfileStore::snapshot`]) reflect the frame immediately.
+    /// file write. The assigned `seq` and the in-memory counts (and thus
+    /// [`ProfileStore::counts`] and every fold) reflect the frame
+    /// immediately.
     ///
     /// # Errors
     ///
@@ -574,9 +693,8 @@ impl ProfileStore {
         self.push_counts(source, ebs_samples, lbr_samples, bbec)
     }
 
-    /// The append path shared with [`ProfileStore::merge_from`] and
-    /// [`ProfileStore::compact`], which legitimately carry
-    /// [`COMPACTED_SOURCE`] fold frames.
+    /// The append path shared with [`ProfileStore::merge_from`], which
+    /// legitimately carries [`COMPACTED_SOURCE`] fold frames.
     fn push_counts(
         &mut self,
         source: u32,
@@ -631,7 +749,8 @@ impl ProfileStore {
 
     /// [`ProfileStore::append_window`] without the write — buffered until
     /// the next [`ProfileStore::commit`], like
-    /// [`ProfileStore::append_counts_deferred`].
+    /// [`ProfileStore::append_counts_deferred`]. The record is encoded
+    /// and counted, not kept.
     ///
     /// # Errors
     ///
@@ -640,11 +759,9 @@ impl ProfileStore {
         if self.identity.is_none() {
             return Err(StoreError::MissingIdentity);
         }
-        let epoch = self.current_epoch;
         self.mark_epoch();
-        self.buffer_frame(&Frame::Window(record.clone()));
-        self.windows.push(record);
-        self.window_epochs.push(epoch);
+        self.buffer_frame(&Frame::Window(record));
+        self.window_frames += 1;
         Ok(())
     }
 
@@ -653,9 +770,20 @@ impl ProfileStore {
         &self.counts
     }
 
-    /// Window timeline frames in log order.
-    pub fn windows(&self) -> &[WindowRecord] {
-        &self.windows
+    /// Number of window timeline frames, committed or pending.
+    pub fn window_frames(&self) -> u64 {
+        self.window_frames
+    }
+
+    /// Window timeline frames in log order, read back from the log (see
+    /// [`ProfileStore::try_snapshot`]).
+    ///
+    /// # Panics
+    ///
+    /// On an I/O error reading the store's own log back;
+    /// [`ProfileStore::try_snapshot`] reports it instead.
+    pub fn windows(&self) -> Vec<WindowRecord> {
+        self.snapshot().windows
     }
 
     /// The epoch stamped onto the next append. Starts at 0; advanced by
@@ -683,15 +811,85 @@ impl ProfileStore {
         Ok(self.current_epoch)
     }
 
-    /// An immutable view of the current contents.
+    /// An immutable view of the current contents, windows read back from
+    /// the log (see [`ProfileStore::try_snapshot`]).
+    ///
+    /// # Panics
+    ///
+    /// On an I/O error reading the store's own log back;
+    /// [`ProfileStore::try_snapshot`] reports it instead.
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
+        self.try_snapshot()
+            .unwrap_or_else(|e| panic!("reading {} back: {e}", self.path.display()))
+    }
+
+    /// An immutable view of the current contents. Counts come from
+    /// memory; window frames are read back from the log — the committed
+    /// file through positional reads that leave the append cursor alone,
+    /// then the pending buffer — so the cost is one pass over the log.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors reading the log, including a log that no longer reads
+    /// back as written.
+    pub fn try_snapshot(&self) -> Result<Snapshot, StoreError> {
+        let (mut windows, mut window_epochs) = (Vec::new(), Vec::new());
+        self.for_each_window(|bytes, epoch| match read_frame(bytes) {
+            FrameOutcome::Frame {
+                frame: Some(Frame::Window(w)),
+                ..
+            } => {
+                windows.push(w);
+                window_epochs.push(epoch);
+                Ok(())
+            }
+            _ => Err(log_changed()),
+        })?;
+        Ok(Snapshot {
             identity: self.identity.clone(),
             counts: self.counts.clone(),
-            windows: self.windows.clone(),
+            windows,
             counts_epochs: self.counts_epochs.clone(),
-            window_epochs: self.window_epochs.clone(),
+            window_epochs,
+        })
+    }
+
+    /// Visit every window frame in log order — the committed file, then
+    /// the pending buffer — with the epoch it belongs to. `visit` gets
+    /// the frame's bytes, checksum not yet checked.
+    fn for_each_window(
+        &self,
+        mut visit: impl FnMut(&[u8], u32) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
+        let mut epoch = 0;
+        let mut step = |frame: &[u8]| match frame[0] {
+            T_WINDOW => visit(frame, epoch),
+            T_EPOCH => match read_frame(frame) {
+                FrameOutcome::Frame {
+                    frame: Some(Frame::Epoch(e)),
+                    ..
+                } => {
+                    epoch = e;
+                    Ok(())
+                }
+                _ => Err(log_changed()),
+            },
+            _ => Ok(()),
+        };
+        let mut log = LogReader::new(HEADER_LEN as u64, self.len);
+        while let Some(frame) = log.next(&self.file)? {
+            step(frame)?;
         }
+        if log.at != self.len {
+            return Err(log_changed());
+        }
+        let mut rest = self.pending.as_slice();
+        while let Some(len) = frame_len(rest) {
+            let (frame, tail) = rest.split_at(len);
+            step(frame)?;
+            rest = tail;
+        }
+        Ok(())
     }
 
     /// The counts frames and their epoch stamps — everything a read
@@ -704,7 +902,7 @@ impl ProfileStore {
 
     /// The canonical aggregate profile (see [`Snapshot::aggregate`]).
     pub fn aggregate(&self) -> Bbec {
-        self.snapshot().aggregate()
+        aggregate(&self.counts, &self.counts_epochs)
     }
 
     /// Merge another store's contents into this one — lossless: every
@@ -775,12 +973,18 @@ impl ProfileStore {
 
     /// Tiered compaction: rewrite the log as identity + **one folded
     /// counts frame per epoch** + the window timeline (grouped under its
-    /// epoch markers), atomically (temp file + rename; this is also the
-    /// store's fsync point). Every per-epoch aggregate — and therefore
-    /// the global fold — is preserved **bit-exactly**: each fold frame
-    /// is exactly its epoch's canonical aggregate, written under
-    /// [`COMPACTED_SOURCE`]. Only per-recording provenance *inside* an
-    /// epoch is given up; history across epochs survives.
+    /// epoch markers), atomically (temp file + rename + directory fsync;
+    /// this is also the store's fsync point). Every per-epoch aggregate
+    /// — and therefore the global fold — is preserved **bit-exactly**:
+    /// each fold frame is exactly its epoch's canonical aggregate,
+    /// written under [`COMPACTED_SOURCE`]. Only per-recording provenance
+    /// *inside* an epoch is given up; history across epochs survives.
+    ///
+    /// The fold frames come from the in-memory counts; the window frames
+    /// are copied from the old log (and any pending bytes) as
+    /// checksum-verified raw bytes in one streaming pass, so compaction
+    /// holds no more of the timeline than one read buffer. Frames of an
+    /// unknown type are dropped.
     ///
     /// Compaction **seals** the current epoch *unconditionally*:
     /// subsequent appends are stamped with a fresh epoch, so each
@@ -800,13 +1004,12 @@ impl ProfileStore {
     /// # Errors
     ///
     /// [`StoreError::MissingIdentity`] on an identity-less store; I/O
-    /// errors from writing or renaming the temp file.
+    /// errors from reading the old log or writing, syncing or renaming
+    /// the temp file.
     pub fn compact(&mut self) -> Result<(), StoreError> {
         let Some(identity) = self.identity.clone() else {
             return Err(StoreError::MissingIdentity);
         };
-        let snapshot = self.snapshot();
-        let epochs = snapshot.epochs();
         // Seal: the compacted epoch becomes closed history; appends after
         // this compact open a fresh tier. Sealing is durable — the new
         // epoch's boundary marker is written at the tail of the rewritten
@@ -821,74 +1024,78 @@ impl ProfileStore {
         // under the shared COMPACTED_SOURCE id.
         let mut next_fold = self.next_seq.get(&COMPACTED_SOURCE).copied().unwrap_or(0);
         let mut folds: Vec<(u32, CountsRecord)> = Vec::new();
-        for stats in snapshot.epoch_stats() {
-            if stats.counts_frames == 0 {
-                continue; // window-only epoch: nothing to fold
-            }
+        let order = fold_order(&self.counts, &self.counts_epochs);
+        for group in order.chunk_by(|&a, &b| self.counts_epochs[a] == self.counts_epochs[b]) {
             let seq = next_fold;
             next_fold = seq
                 .checked_add(1)
                 .ok_or(StoreError::SequenceOverflow(COMPACTED_SOURCE))?;
+            let records = group.iter().map(|&i| &self.counts[i]);
+            let (ebs_samples, lbr_samples) = records
+                .clone()
+                .fold((0, 0), |(e, l), r| (e + r.ebs_samples, l + r.lbr_samples));
             folds.push((
-                stats.epoch,
+                self.counts_epochs[group[0]],
                 CountsRecord {
                     source: COMPACTED_SOURCE,
                     seq,
-                    ebs_samples: stats.ebs_samples,
-                    lbr_samples: stats.lbr_samples,
-                    bbec: snapshot.epoch_aggregate(stats.epoch),
+                    ebs_samples,
+                    lbr_samples,
+                    bbec: to_bbec(fold(records)),
                 },
             ));
         }
 
         let tmp_path = self.path.with_extension("tmp");
-        let mut tmp = File::create(&tmp_path)?;
-        tmp.write_all(MAGIC)?;
-        tmp.write_all(&VERSION.to_le_bytes())?;
-        let mut len = HEADER_LEN as u64;
-        let write = |file: &mut File, frame: &Frame| -> Result<u64, StoreError> {
-            let bytes = encode_frame(frame);
-            file.write_all(&bytes)?;
-            Ok(bytes.len() as u64)
-        };
-        len += write(&mut tmp, &Frame::Identity(identity))?;
+        let mut out = BufWriter::new(File::create(&tmp_path)?);
+        out.write_all(MAGIC)?;
+        out.write_all(&VERSION.to_le_bytes())?;
+        out.write_all(&encode_frame(&Frame::Identity(identity)))?;
+        // Tier by tier in epoch order: each epoch's marker (when it needs
+        // one), its fold frame, then its windows. The log is
+        // epoch-ordered, so the windows arrive tier by tier.
         let mut marked = 0u32;
-        let mut windows = Vec::with_capacity(snapshot.windows.len());
-        let mut window_epochs = Vec::with_capacity(snapshot.windows.len());
-        for &epoch in &epochs {
+        let mut write = |out: &mut BufWriter<File>, epoch: u32, frame: &[u8]| {
             if epoch > marked {
-                len += write(&mut tmp, &Frame::Epoch(epoch))?;
+                out.write_all(&encode_frame(&Frame::Epoch(epoch)))?;
                 marked = epoch;
             }
-            if let Some((_, fold)) = folds.iter().find(|(e, _)| *e == epoch) {
-                len += write(&mut tmp, &Frame::Counts(fold.clone()))?;
+            out.write_all(frame)
+        };
+        let mut folds_left = folds.iter().peekable();
+        self.for_each_window(|frame, epoch| {
+            if !crc_holds(frame) {
+                return Err(log_changed());
             }
-            for (w, we) in snapshot.windows.iter().zip(&snapshot.window_epochs) {
-                if *we == epoch {
-                    len += write(&mut tmp, &Frame::Window(w.clone()))?;
-                    windows.push(w.clone());
-                    window_epochs.push(epoch);
-                }
+            while let Some((e, fold)) = folds_left.next_if(|(e, _)| *e <= epoch) {
+                write(&mut out, *e, &encode_frame(&Frame::Counts(fold.clone())))?;
             }
+            Ok(write(&mut out, epoch, frame)?)
+        })?;
+        for (e, fold) in folds_left {
+            write(&mut out, *e, &encode_frame(&Frame::Counts(fold.clone())))?;
         }
-        if sealed > marked {
-            len += write(&mut tmp, &Frame::Epoch(sealed))?;
-            marked = sealed;
-        }
+        write(&mut out, sealed, &[])?;
+        let tmp = out.into_inner().map_err(|e| e.into_error())?;
         tmp.sync_all()?;
+        let len = tmp.metadata()?.len();
         drop(tmp);
         std::fs::rename(&tmp_path, &self.path)?;
+        // The rename is durable only once the directory entry is.
+        let dir = match self.path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        File::open(dir)?.sync_all()?;
 
         self.file = OpenOptions::new().read(true).write(true).open(&self.path)?;
         self.file.seek(SeekFrom::End(0))?;
-        // Deferred frames are part of the snapshot just rewritten; the
+        // Deferred frames are part of the log just rewritten; the
         // buffered bytes must not be appended again.
         self.pending.clear();
         self.len = len;
         self.counts_epochs = folds.iter().map(|(e, _)| *e).collect();
         self.counts = folds.into_iter().map(|(_, f)| f).collect();
-        self.windows = windows;
-        self.window_epochs = window_epochs;
         self.next_seq.insert(COMPACTED_SOURCE, next_fold);
         self.marked_epoch = marked;
         self.current_epoch = sealed;
@@ -1119,7 +1326,7 @@ mod tests {
             .append_counts_deferred(1, 2, 2, bbec(&[(0x400010, 2.0)]))
             .unwrap();
         assert_eq!((seq0, seq1), (0, 1));
-        // The mirror sees the frames immediately; the file only after
+        // The counts see the frames immediately; the file only after
         // commit, as one write.
         assert_eq!(s.counts().len(), 2);
         assert_eq!(s.file_bytes(), base);

@@ -14,8 +14,9 @@
 //! serialized through the same queue, which gives them read-your-writes
 //! consistency per shard for free: the writer commits everything
 //! buffered before answering. The answer is the shard's counts frames
-//! and their epoch stamps only — window frames never leave the writer —
-//! and the frames' counts tables are shared, not copied.
+//! and their epoch stamps — the writer's store holds nothing else: window
+//! frames are written and counted, not kept — and the frames' counts
+//! tables are shared, not copied.
 //!
 //! Every answer goes back through a [`Reply`], which rings the asking
 //! worker's doorbell once the answer is in its channel — once per
@@ -193,7 +194,7 @@ pub(crate) fn writer_loop(
                     commit(&mut store, &mut uncommitted, &metrics, &mut dirty);
                     reply.send(ShardStats {
                         counts_frames: store.counts().len() as u64,
-                        window_frames: store.windows().len() as u64,
+                        window_frames: store.window_frames(),
                         bytes: store.file_bytes(),
                         sources: store.counts().iter().map(|c| c.source).collect(),
                     });
