@@ -3,7 +3,7 @@
 //!
 //! The target comes from one of three places: an offline recording
 //! (whole, or one window of its timeline), a [`hbbp_store::ProfileStore`]
-//! segment (aggregate, one epoch's canonical fold, or one timeline
+//! segment (aggregate, one epoch's aggregate, or one timeline
 //! window), or a live daemon's aggregate (`hbbp serve`). The solver
 //! ([`hbbp_workloads::solve`]) turns the mix into an initial
 //! [`SynthSpec`]; the calibrator then closes the loop — generate the

@@ -4,7 +4,7 @@
 //!
 //! The baseline is one epoch of a [`hbbp_store::ProfileStore`] segment
 //! (see `hbbp query epochs` for what a daemon store holds), reduced to
-//! its canonical per-epoch fold — the same fold the daemon's `DRIFT` op
+//! its per-epoch aggregate — the same aggregate the daemon's `DRIFT` op
 //! diffs. Each closed window's mix is compared against it with
 //! [`hbbp_core::MixDrift`]; a window whose total-variation divergence
 //! exceeds `--tolerance` prints a `DRIFT` line. A replayed baseline
@@ -129,7 +129,7 @@ impl WatchOptions {
         })
     }
 
-    /// Load the baseline epoch's canonical fold as a mnemonic mix.
+    /// Load the baseline epoch's aggregate as a mnemonic mix.
     fn baseline_mix(
         &self,
         analyzer: &hbbp_core::Analyzer,

@@ -5,7 +5,7 @@
 //! instruction mix moved between two points in time — two store epochs,
 //! or a live stream against a stored baseline. The daemon's `DRIFT` op
 //! and `hbbp watch` are both built on it, and both compute the exact
-//! same rows from the exact same canonical folds, so an online answer is
+//! same rows from the exact same epoch aggregates, so an online answer is
 //! bit-identical to an offline recompute.
 //!
 //! ```

@@ -12,11 +12,18 @@
 //! * `benches/pipeline.rs` measures the production path against it
 //!   (`BENCH_pipeline.json`).
 //!
+//! The [`exact`] module is the reference for the store's exact,
+//! order-free aggregation: a plain fixed-point big integer against
+//! `hbbp-store`'s superaccumulator and expansions
+//! (`crates/store/tests/log_props.rs`, `crates/store/tests/exact_props.rs`).
+//!
 //! Nothing here is tuned: every lookup is a whole-map binary search and
 //! every per-block table is keyed by block start address. Only
 //! `[dev-dependencies]` tables may name this crate.
 
 #![forbid(unsafe_code)]
+
+pub mod exact;
 
 use hbbp_core::{
     Analysis, Analyzer, BlockFeatures, Choice, EbsEstimate, HbbpEstimate, HybridRule, LbrEstimate,

@@ -109,8 +109,8 @@ pub struct StoreIdentity {
 /// One recording's profile: the per-block execution counts a single
 /// analyzed run (one collector connection, one perf.data file) produced.
 ///
-/// The store's aggregate is a deterministic fold of these records sorted
-/// by `(source, seq)` — see [`crate::Snapshot::aggregate`].
+/// The store's aggregate is the correctly rounded exact sum of these
+/// records, per epoch — see [`crate::Snapshot::aggregate`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CountsRecord {
     /// Collector-chosen origin id (client/session id in the daemon).
@@ -277,22 +277,32 @@ fn put_mix(buf: &mut BytesMut, mix: &MnemonicMix) {
     }
 }
 
-fn get_mix(p: &mut &[u8]) -> Result<MnemonicMix, ()> {
+/// Walk an encoded mix, handing each entry to `visit`: the one parser
+/// behind both decoding a window and checking one.
+fn walk_mix(p: &mut &[u8], mut visit: impl FnMut(Mnemonic, f64)) -> Result<(), ()> {
     if p.remaining() < 4 {
         return Err(());
     }
     let n = p.get_u32_le() as usize;
-    let mut mix = MnemonicMix::new();
     for _ in 0..n {
         let opcode = u16::try_from(get_varint(p)?).map_err(|_| ())?;
         let mnemonic = Mnemonic::from_opcode(opcode).ok_or(())?;
         if p.remaining() < 8 {
             return Err(());
         }
-        mix.add(mnemonic, f64::from_bits(p.get_u64_le()));
+        visit(mnemonic, f64::from_bits(p.get_u64_le()));
     }
+    Ok(())
+}
+
+fn get_mix(p: &mut &[u8]) -> Result<MnemonicMix, ()> {
+    let mut mix = MnemonicMix::new();
+    walk_mix(p, |mnemonic, count| mix.add(mnemonic, count))?;
     Ok(mix)
 }
+
+/// Bytes of a window payload before its mix.
+const WINDOW_HEAD: usize = 40;
 
 fn frame_type(frame: &Frame) -> u8 {
     match frame {
@@ -389,7 +399,7 @@ fn decode_payload(rtype: u8, mut p: &[u8]) -> Result<Option<Frame>, ()> {
             })
         }
         T_WINDOW => {
-            if p.remaining() < 40 {
+            if p.remaining() < WINDOW_HEAD {
                 return Err(());
             }
             let source = p.get_u32_le();
@@ -451,6 +461,20 @@ pub(crate) fn frame_len(bytes: &[u8]) -> Option<usize> {
 pub(crate) fn crc_holds(frame: &[u8]) -> bool {
     let crc = u32::from_le_bytes(frame[5..9].try_into().expect("4 crc bytes"));
     crc32_parts(&[&frame[..5], &frame[FRAME_OVERHEAD..]]) == crc
+}
+
+/// Whether a whole frame of type [`T_WINDOW`] passes its checksum and
+/// decodes — the verdict [`read_frame`] gives — without building the
+/// window or its mix. Replay only counts windows, so this is all it
+/// needs of one.
+pub(crate) fn window_frame_holds(frame: &[u8]) -> bool {
+    if !crc_holds(frame) {
+        return false;
+    }
+    let Some(mut p) = frame[FRAME_OVERHEAD..].get(WINDOW_HEAD..) else {
+        return false;
+    };
+    walk_mix(&mut p, |_, _| {}).is_ok() && !p.has_remaining()
 }
 
 /// Try to decode the frame at the start of `bytes`.

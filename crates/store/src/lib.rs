@@ -13,8 +13,8 @@
 //!   by the frame checksums and truncated away on
 //!   [`open`](ProfileStore::open); merge
 //!   ([`merge_from`](ProfileStore::merge_from)) is lossless, and the
-//!   aggregate profile is a canonical `(source, seq)`-ordered fold that
-//!   is **bit-identical** to folding per-recording batch analyses;
+//!   aggregate profile is the correctly rounded **exact** sum of the
+//!   per-recording batch analyses, whatever their order or partition;
 //! * **`hbbpd`** (the [`daemon`] module and the binary of the same name)
 //!   — an event-driven TCP daemon: a worker pool multiplexes many
 //!   nonblocking connections per thread behind epoll readiness waits, and each store shard is
@@ -23,8 +23,8 @@
 //!   the `hbbp-perf` wire codec ([`StoreClient::stream_session`] collects
 //!   straight onto the socket); each connection is analyzed online
 //!   ([`hbbp_core::OnlineAnalyzer`]) with closed windows flushed into the
-//!   store mid-stream, and mix/top-K queries answer from the canonical
-//!   aggregate. `docs/PROTOCOL.md` specifies the wire protocol,
+//!   store mid-stream, and mix/top-K queries answer from the shards'
+//!   running exact sums. `docs/PROTOCOL.md` specifies the wire protocol,
 //!   `docs/DAEMON.md` the concurrency model.
 //!
 //! ## Quickstart: a store on disk, written, merged, recovered
@@ -58,7 +58,7 @@
 //! store.append_counts(1, 120, 80, run1)?;
 //! store.append_counts(2, 60, 40, run2)?;
 //!
-//! // The aggregate is the canonical (source, seq)-ordered fold.
+//! // The aggregate is the correctly rounded exact sum of the frames.
 //! assert_eq!(store.aggregate().get(0x400000), 1500.0);
 //!
 //! // Reopening replays the log; a torn tail would be truncated here.
@@ -84,6 +84,7 @@
 #![deny(unsafe_code)]
 
 pub mod daemon;
+mod exact;
 mod frame;
 mod poll;
 mod server;

@@ -41,14 +41,14 @@
 use crate::daemon::Shared;
 use crate::frame::WindowRecord;
 use crate::poll::{Doorbell, Event, Interest, Poller};
-use crate::store::{Snapshot, COMPACTED_SOURCE};
+use crate::store::{EpochPartial, Partials, COMPACTED_SOURCE};
 use crate::wire::{
     encode_epochs, encode_ingest, encode_mix, encode_stats, DaemonStats, IngestReply,
     ShardQueueDepth, MAX_MSG_LEN, OP_COMPACT, OP_DRIFT, OP_EPOCHS, OP_METRICS, OP_QUERY_MIX,
     OP_QUERY_TOP, OP_SHUTDOWN, OP_STATS, OP_STREAM, RESP_EPOCHS, RESP_ERR, RESP_INGESTED,
     RESP_METRICS, RESP_MIX, RESP_OK, RESP_STATS,
 };
-use crate::writer::{Reply, ShardCounts, ShardStats, WriterMsg};
+use crate::writer::{Reply, ShardStats, WriterMsg};
 use hbbp_core::{MixDrift, OnlineAnalyzer, OnlineOutcome};
 use hbbp_obs::{Counter, Gauge, Histogram, Metrics};
 use hbbp_perf::{RecordView, StreamDecoder, StreamStats, ViewSink};
@@ -122,18 +122,18 @@ impl WorkerCtx<'_> {
     }
 
     /// Fan a control message out to every shard writer (the closure gets
-    /// the shard index and that shard's reply handle); returns where the
-    /// answers arrive. The replies share one countdown, so the doorbell
-    /// rings once, after the last shard answers. Blocking sends: control
+    /// that shard's reply handle); returns where the answers arrive. The
+    /// replies share one countdown, so the doorbell rings once, after the
+    /// last shard answers. Blocking sends: control
     /// traffic is rare and a writer never blocks on its consumers, so
     /// this cannot deadlock — at worst it waits for one queue drain.
     /// Same inc-before-send protocol as [`WorkerCtx::try_send_shard`].
-    fn fan_out<T>(&self, make: impl Fn(usize, Reply<T>) -> WriterMsg) -> Receiver<T> {
+    fn fan_out<T>(&self, make: impl Fn(Reply<T>) -> WriterMsg) -> Receiver<T> {
         let (tx, rx) = std::sync::mpsc::channel();
         let replies = Reply::fan(&tx, self.bell, self.shards.len());
         for ((i, shard), reply) in self.shards.iter().enumerate().zip(replies) {
             self.metrics().gauge_shard_inc(Gauge::WriterQueueDepth, i);
-            if shard.send(make(i, reply)).is_err() {
+            if shard.send(make(reply)).is_err() {
                 self.metrics().gauge_shard_dec(Gauge::WriterQueueDepth, i);
             }
         }
@@ -141,7 +141,7 @@ impl WorkerCtx<'_> {
     }
 }
 
-/// What a read query renders once every shard's counts frames arrive.
+/// What a read query renders once every shard's partials arrive.
 enum SnapQuery {
     Mix,
     Top(u32),
@@ -187,11 +187,11 @@ enum ConnState<'a> {
     Ingest(Box<Ingest<'a>>),
     /// Stream complete: submitting results, awaiting the committed seq.
     Commit(Box<CommitState>),
-    /// Read query: awaiting one indexed counts reply per shard.
+    /// Read query: awaiting every shard's epoch partials.
     Gather {
-        rx: Receiver<ShardCounts>,
+        rx: Receiver<Vec<Arc<EpochPartial>>>,
         want: usize,
-        got: Vec<ShardCounts>,
+        got: Vec<Vec<Arc<EpochPartial>>>,
         query: SnapQuery,
     },
     /// `OP_STATS`: awaiting one [`ShardStats`] per shard.
@@ -478,7 +478,7 @@ impl<'a> Conn<'a> {
                 );
             }
             OP_STATS => {
-                let rx = ctx.fan_out(|_, reply| WriterMsg::Stats(reply));
+                let rx = ctx.fan_out(WriterMsg::Stats);
                 self.state = ConnState::GatherStats {
                     rx,
                     want: ctx.shards.len(),
@@ -486,7 +486,7 @@ impl<'a> Conn<'a> {
                 };
             }
             OP_COMPACT => {
-                let rx = ctx.fan_out(|_, reply| WriterMsg::Compact(reply));
+                let rx = ctx.fan_out(WriterMsg::Compact);
                 self.state = ConnState::GatherCompact {
                     rx,
                     want: ctx.shards.len(),
@@ -509,7 +509,7 @@ impl<'a> Conn<'a> {
     }
 
     fn start_gather(&mut self, ctx: &WorkerCtx<'a>, query: SnapQuery) {
-        let rx = ctx.fan_out(WriterMsg::ReadCounts);
+        let rx = ctx.fan_out(WriterMsg::ReadSums);
         self.state = ConnState::Gather {
             rx,
             want: ctx.shards.len(),
@@ -836,23 +836,7 @@ impl<'a> Conn<'a> {
             return true;
         }
         if got.len() == *want {
-            // Shard-index order, not reply-arrival order: compacted fold
-            // frames share one `(source, seq)` key, so the stable
-            // canonical sort would otherwise preserve a racy interleaving.
-            got.sort_by_key(|(i, _, _)| *i);
-            let mut counts = Vec::new();
-            let mut counts_epochs = Vec::new();
-            for (_, shard_counts, shard_epochs) in got.drain(..) {
-                counts.extend(shard_counts);
-                counts_epochs.extend(shard_epochs);
-            }
-            let combined = Snapshot {
-                identity: None,
-                counts,
-                counts_epochs,
-                windows: Vec::new(),
-                window_epochs: Vec::new(),
-            };
+            let combined = Partials::gather(got.drain(..));
             let (code, payload) = match query {
                 SnapQuery::Mix => {
                     let mix = ctx.shared.analyzer.mix(&combined.aggregate());
@@ -865,9 +849,8 @@ impl<'a> Conn<'a> {
                 }
                 SnapQuery::Epochs => (RESP_EPOCHS, encode_epochs(&combined.epoch_stats())),
                 SnapQuery::Drift { from, to, k } => {
-                    let epochs = combined.epochs();
                     for e in [*from, *to] {
-                        if !epochs.contains(&e) {
+                        if !combined.has_epoch(e) {
                             self.respond_err(&format!("store has no epoch {e}"));
                             return true;
                         }

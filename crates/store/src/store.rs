@@ -10,8 +10,9 @@
 //!
 //! ## What stays in memory
 //!
-//! An open store keeps what its queries fold: the identity and every
-//! counts frame with its epoch stamp. Window frames are checked, encoded
+//! An open store keeps the identity, every counts frame with its epoch
+//! stamp, and each epoch's running exact sums (what its queries read).
+//! Window frames are checked, encoded
 //! and written, then only **counted** — the timeline is a record for
 //! offline readers, not something a query reads, so an always-on daemon
 //! does not grow with it. [`ProfileStore::snapshot`] and
@@ -21,16 +22,32 @@
 //!
 //! ## Merge semantics (what "lossless" means here)
 //!
-//! The aggregate profile of a store is a **deterministic fold**: within
-//! each epoch, counts records sorted by `(source, seq)` and merged left
-//! to right with [`Bbec::merge`] into that epoch's aggregate; the global
-//! aggregate folds the per-epoch aggregates in epoch order. Merging two
-//! stores appends the other store's frames, so no information is
-//! destroyed, and because each frame carries the exact `f64` bits of one
-//! recording's analysis, the merged aggregate is **bit-identical** to
-//! folding the per-recording batch analyses (`Analyzer::analyze_fused`)
-//! in the same canonical order — the property pinned by
-//! `crates/store/tests/fleet.rs`.
+//! The aggregate profile of a store is defined on **exact** sums, so it
+//! does not depend on the order in which frames arrived or on how they
+//! were split across stores. Per epoch and block, the epoch's aggregate
+//! is `0.0 +` the correctly rounded exact sum of the epoch's frame values
+//! for the block; a block is present exactly when some frame of the
+//! epoch carries it, and a single-frame epoch therefore yields its
+//! frame's own counts. The global aggregate is, per block, the correctly
+//! rounded exact sum of the rounded epoch aggregates. NaN and the
+//! infinities follow IEEE round-to-nearest made order-free: `+inf` with
+//! `-inf` gives `f64::NAN`; otherwise a NaN gives the NaN with the
+//! smallest quieted bit pattern (a lone NaN `c` gives `0.0 + c`);
+//! otherwise an infinity wins; and a finite exact sum beyond the `f64`
+//! range rounds to the infinity of its sign.
+//!
+//! Merging two stores appends the other store's frames, so no
+//! information is destroyed, and because each frame carries the exact
+//! `f64` bits of one recording's analysis, the merged aggregate is
+//! **bit-identical** to the exact sum of the per-recording batch analyses
+//! (`Analyzer::analyze_fused`) — the property pinned by
+//! `crates/store/tests/fleet.rs`, with an independent big-integer
+//! reference in `hbbp-oracle`.
+//!
+//! Each store keeps a running exact sum per epoch and block (a
+//! superaccumulator for the current epoch, sealed epochs as `f64`
+//! expansions), updated in O(blocks) per counts frame, so a read query
+//! costs O(epochs × blocks) whatever the number of frames.
 //!
 //! ## Epochs (the time dimension)
 //!
@@ -39,30 +56,33 @@
 //! epoch-boundary frame and recovered on open. Epoch 0 is implicit;
 //! boundary markers are written lazily, just before the first frame of a
 //! new epoch. [`ProfileStore::compact`] is **tiered**: it collapses the
-//! counts frames *within* each epoch into one fold frame per epoch
-//! (under [`COMPACTED_SOURCE`]), preserving every per-epoch aggregate —
-//! and therefore the global fold — bit-exactly, then **seals** the
-//! current epoch so subsequent appends open a new one. History survives
-//! compaction; only per-recording provenance inside an epoch is given
-//! up. Drift queries ([`Snapshot::epoch_aggregate`]) compare epochs long
-//! after their raw frames are gone.
+//! counts frames *within* each epoch into that epoch's exact partial,
+//! written as a few frames under [`COMPACTED_SOURCE`], preserving every
+//! per-epoch aggregate — and therefore the global aggregate —
+//! bit-exactly, then **seals** the current epoch so subsequent appends
+//! open a new one. History survives compaction; only per-recording
+//! provenance inside an epoch is given up. Drift queries
+//! ([`Snapshot::epoch_aggregate`]) compare epochs long after their raw
+//! frames are gone.
 
+use crate::exact::{sum_epochs, BlockSums, Expansions};
 use crate::frame::{
-    crc_holds, encode_frame, frame_len, read_frame, CountsRecord, Frame, FrameOutcome, ModuleSpan,
-    StoreIdentity, WindowRecord, FRAME_OVERHEAD, HEADER_LEN, MAGIC, T_EPOCH, T_WINDOW, VERSION,
+    crc_holds, encode_frame, frame_len, read_frame, window_frame_holds, CountsRecord, Frame,
+    FrameOutcome, ModuleSpan, StoreIdentity, WindowRecord, FRAME_OVERHEAD, HEADER_LEN, MAGIC,
+    T_EPOCH, T_WINDOW, VERSION,
 };
 use hbbp_program::{Bbec, BlockMap};
 use hbbp_workloads::Workload;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-/// Source id used for the fold frame written by
-/// [`ProfileStore::compact`]. `u32::MAX` sorts after every live source,
-/// so post-compaction appends keep a deterministic fold order.
+/// Source id of the counts frames written by [`ProfileStore::compact`],
+/// reserved so that no client can append under it.
 pub const COMPACTED_SOURCE: u32 = u32::MAX;
 
 /// Bytes one log read asks for. A longer frame is read whole, so a
@@ -86,8 +106,7 @@ pub enum StoreError {
     /// An append named the reserved [`COMPACTED_SOURCE`] id.
     ReservedSource,
     /// A sequence (or epoch) counter left u32 space — replaying such a
-    /// log would reuse sequence numbers and corrupt the canonical fold
-    /// order.
+    /// log would reuse sequence numbers.
     SequenceOverflow(u32),
 }
 
@@ -168,72 +187,18 @@ pub struct Snapshot {
     pub window_epochs: Vec<u32>,
 }
 
-/// Merge `other` (ascending by address) into the address-sorted table
-/// `acc` the way [`Bbec::merge`] adds: a key's first count lands as
-/// `0.0 + c`, later counts are added in order. One walk over both adds
-/// to the keys `acc` holds in place; new keys gather in `spare` and join
-/// `acc` as a second sorted run.
-fn merge_sorted(
-    acc: &mut Vec<(u64, f64)>,
-    other: impl Iterator<Item = (u64, f64)>,
-    spare: &mut Vec<(u64, f64)>,
-) {
-    spare.clear();
-    let mut i = 0;
-    for (addr, count) in other {
-        while acc.get(i).is_some_and(|&(a, _)| a < addr) {
-            i += 1;
-        }
-        match acc.get_mut(i) {
-            Some((a, c)) if *a == addr => *c += count,
-            _ => spare.push((addr, 0.0 + count)),
-        }
-    }
-    if !spare.is_empty() {
-        acc.extend_from_slice(spare);
-        // Two sorted runs of distinct keys: the stable sort merges them
-        // in one linear pass.
-        acc.sort_by_key(|&(a, _)| a);
-    }
-}
-
-/// Left-fold records into an address-sorted table (see
-/// `merge_sorted`).
-fn fold<'a>(records: impl IntoIterator<Item = &'a CountsRecord>) -> Vec<(u64, f64)> {
-    let (mut acc, mut spare) = (Vec::new(), Vec::new());
-    for rec in records {
-        merge_sorted(&mut acc, rec.bbec.iter(), &mut spare);
-    }
-    acc
-}
-
-/// The table of a fold, every count kept bit for bit.
-fn to_bbec(entries: Vec<(u64, f64)>) -> Bbec {
-    let mut bbec = Bbec::new();
-    for (addr, count) in entries {
-        bbec.set(addr, count);
-    }
-    bbec
-}
-
-/// Counts-frame indices in canonical fold order: one stable sort by
-/// `(epoch, source, seq)`, so frames sharing a key keep their log order.
-fn fold_order(counts: &[CountsRecord], epochs: &[u32]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..counts.len()).collect();
-    order.sort_by_key(|&i| (epochs[i], counts[i].source, counts[i].seq));
-    order
-}
-
 impl Snapshot {
-    /// The canonical aggregate: each epoch's records sorted by
-    /// `(source, seq)` and folded left to right with [`Bbec::merge`],
-    /// then the per-epoch aggregates folded in epoch order.
-    /// Deterministic for any arrival interleaving of the same
-    /// recordings, and — because tiered compaction replaces an epoch's
-    /// records with exactly its fold — bit-identical before and after
-    /// [`ProfileStore::compact`].
+    /// The global aggregate: per block, the correctly rounded exact sum
+    /// of the per-epoch aggregates ([`Snapshot::epoch_aggregate`]). It
+    /// does not depend on the order of the frames, nor on how they are
+    /// split across stores, so it is bit-identical before and after
+    /// [`ProfileStore::compact`] and to a multi-shard daemon's answer.
     pub fn aggregate(&self) -> Bbec {
-        aggregate(&self.counts, &self.counts_epochs)
+        let epochs: Vec<Bbec> = epoch_sums(&self.counts, &self.counts_epochs)
+            .values()
+            .map(BlockSums::round)
+            .collect();
+        sum_epochs(&epochs)
     }
 
     /// Distinct epochs with at least one counts or window frame,
@@ -250,19 +215,22 @@ impl Snapshot {
         v
     }
 
-    /// One epoch's aggregate: its counts records sorted by
-    /// `(source, seq)`, folded left to right. Empty for an unknown
-    /// epoch.
+    /// One epoch's aggregate: per block, `0.0 +` the correctly rounded
+    /// exact sum of the epoch's frame values (NaN and the infinities as
+    /// the module docs say). A block is present exactly when some frame
+    /// of the epoch carries it; a single-frame epoch yields its frame's
+    /// counts as `0.0 + c`. Empty for an unknown epoch.
     pub fn epoch_aggregate(&self, epoch: u32) -> Bbec {
-        let mut order: Vec<&CountsRecord> = self
+        let mut sums = BlockSums::default();
+        for (rec, _) in self
             .counts
             .iter()
             .zip(&self.counts_epochs)
             .filter(|(_, e)| **e == epoch)
-            .map(|(r, _)| r)
-            .collect();
-        order.sort_by_key(|r| (r.source, r.seq));
-        to_bbec(fold(order))
+        {
+            sums.add_bbec(&rec.bbec);
+        }
+        sums.round()
     }
 
     /// Per-epoch frame/sample accounting, ascending by epoch.
@@ -327,17 +295,149 @@ impl Snapshot {
     }
 }
 
-/// The canonical aggregate of counts frames and their epoch stamps (see
-/// [`Snapshot::aggregate`]): one sorted pass, each epoch folded, then
-/// the epoch folds folded in epoch order.
-fn aggregate(counts: &[CountsRecord], epochs: &[u32]) -> Bbec {
-    let (mut acc, mut spare) = (Vec::new(), Vec::new());
-    let order = fold_order(counts, epochs);
-    for group in order.chunk_by(|&a, &b| epochs[a] == epochs[b]) {
-        let epoch = fold(group.iter().map(|&i| &counts[i]));
-        merge_sorted(&mut acc, epoch.into_iter(), &mut spare);
+/// Each epoch's exact per-block sums over counts frames and their epoch
+/// stamps, ascending by epoch.
+fn epoch_sums(counts: &[CountsRecord], epochs: &[u32]) -> BTreeMap<u32, BlockSums> {
+    let mut sums: BTreeMap<u32, BlockSums> = BTreeMap::new();
+    for (rec, epoch) in counts.iter().zip(epochs) {
+        sums.entry(*epoch).or_default().add_bbec(&rec.bbec);
     }
-    to_bbec(acc)
+    sums
+}
+
+/// One epoch's exact partial: its accounting and each block's sum as an
+/// expansion. What a shard writer answers a read query with, one per
+/// epoch that has counts frames.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct EpochPartial {
+    /// The epoch's frame and sample accounting.
+    pub stats: EpochStats,
+    /// Each block's exact sum.
+    pub sums: Expansions,
+}
+
+/// Per-shard epoch partials combined: the aggregates a read query
+/// answers from, the same definition as [`Snapshot::aggregate`] and
+/// [`Snapshot::epoch_aggregate`].
+pub(crate) struct Partials {
+    /// Ascending by epoch; each epoch's partials from every shard that
+    /// has it.
+    epochs: BTreeMap<u32, Vec<Arc<EpochPartial>>>,
+}
+
+impl Partials {
+    /// Gather shards' partials, in any order.
+    pub(crate) fn gather(shards: impl IntoIterator<Item = Vec<Arc<EpochPartial>>>) -> Partials {
+        let mut epochs: BTreeMap<u32, Vec<Arc<EpochPartial>>> = BTreeMap::new();
+        for partial in shards.into_iter().flatten() {
+            epochs.entry(partial.stats.epoch).or_default().push(partial);
+        }
+        Partials { epochs }
+    }
+
+    /// Per-epoch accounting summed over shards, ascending by epoch.
+    pub(crate) fn epoch_stats(&self) -> Vec<EpochStats> {
+        self.epochs
+            .iter()
+            .map(|(&epoch, parts)| {
+                parts.iter().fold(
+                    EpochStats {
+                        epoch,
+                        counts_frames: 0,
+                        ebs_samples: 0,
+                        lbr_samples: 0,
+                    },
+                    |mut s, p| {
+                        s.counts_frames += p.stats.counts_frames;
+                        s.ebs_samples += p.stats.ebs_samples;
+                        s.lbr_samples += p.stats.lbr_samples;
+                        s
+                    },
+                )
+            })
+            .collect()
+    }
+
+    /// Whether some shard has counts frames in `epoch`.
+    pub(crate) fn has_epoch(&self, epoch: u32) -> bool {
+        self.epochs.contains_key(&epoch)
+    }
+
+    /// One epoch's aggregate (see [`Snapshot::epoch_aggregate`]); empty
+    /// for an epoch no shard has.
+    pub(crate) fn epoch_aggregate(&self, epoch: u32) -> Bbec {
+        let mut sums = BlockSums::default();
+        for part in self.epochs.get(&epoch).into_iter().flatten() {
+            sums.add_expansions(&part.sums);
+        }
+        sums.round()
+    }
+
+    /// The global aggregate (see [`Snapshot::aggregate`]).
+    pub(crate) fn aggregate(&self) -> Bbec {
+        let epochs: Vec<Bbec> = self
+            .epochs
+            .keys()
+            .map(|&e| self.epoch_aggregate(e))
+            .collect();
+        sum_epochs(&epochs)
+    }
+}
+
+/// A store's running sums: one exact partial per epoch with counts
+/// frames. Frames only ever land in the current epoch, so every epoch
+/// but the newest is sealed as expansions; the newest adds into a
+/// superaccumulator per block.
+#[derive(Debug, Default)]
+struct RunningSums {
+    sealed: Vec<Arc<EpochPartial>>,
+    open: Option<(EpochStats, BlockSums)>,
+}
+
+impl RunningSums {
+    /// Add one counts frame of `epoch` (never older than the newest
+    /// epoch already held).
+    fn add(&mut self, epoch: u32, rec: &CountsRecord) {
+        if self.open.as_ref().is_some_and(|(s, _)| s.epoch != epoch) {
+            self.seal();
+        }
+        let (stats, sums) = self.open.get_or_insert_with(|| {
+            let stats = EpochStats {
+                epoch,
+                counts_frames: 0,
+                ebs_samples: 0,
+                lbr_samples: 0,
+            };
+            (stats, BlockSums::default())
+        });
+        stats.counts_frames += 1;
+        stats.ebs_samples += rec.ebs_samples;
+        stats.lbr_samples += rec.lbr_samples;
+        sums.add_bbec(&rec.bbec);
+    }
+
+    /// Seal the open epoch into its expansions.
+    fn seal(&mut self) {
+        self.sealed.extend(self.open_partial());
+        self.open = None;
+    }
+
+    /// The open epoch's partial, if any.
+    fn open_partial(&self) -> Option<Arc<EpochPartial>> {
+        self.open.as_ref().map(|(stats, sums)| {
+            Arc::new(EpochPartial {
+                stats: *stats,
+                sums: sums.expansions(),
+            })
+        })
+    }
+
+    /// Every epoch's partial, ascending by epoch.
+    fn partials(&self) -> Vec<Arc<EpochPartial>> {
+        let mut partials = self.sealed.clone();
+        partials.extend(self.open_partial());
+        partials
+    }
 }
 
 /// The frames of a file region `[at, end)`, read through a bounded
@@ -407,6 +507,11 @@ pub struct ProfileStore {
     identity: Option<StoreIdentity>,
     counts: Vec<CountsRecord>,
     counts_epochs: Vec<u32>,
+    /// Each epoch's exact per-block sums over `counts`, kept as frames
+    /// arrive so that reads cost O(blocks), not O(frames).
+    sums: RunningSums,
+    /// Distinct source ids of `counts`.
+    sources: BTreeSet<u32>,
     /// Window frames in the log and the pending buffer; the frames
     /// themselves are not kept.
     window_frames: u64,
@@ -452,6 +557,8 @@ impl ProfileStore {
             identity: None,
             counts: Vec::new(),
             counts_epochs: Vec::new(),
+            sums: RunningSums::default(),
+            sources: BTreeSet::new(),
             window_frames: 0,
             next_seq: HashMap::new(),
             current_epoch: 0,
@@ -493,13 +600,23 @@ impl ProfileStore {
         // Replay frames; stop (and truncate) at the first bad one.
         let mut log = LogReader::new(store.len, file_len);
         'replay: while let Some(bytes) = log.next(&store.file)? {
+            // Windows are only counted: check one without decoding it.
+            if bytes[0] == T_WINDOW {
+                if !window_frame_holds(bytes) {
+                    break;
+                }
+                store.window_frames += 1;
+                store.report.frames += 1;
+                store.len += bytes.len() as u64;
+                continue;
+            }
             match read_frame(bytes) {
                 FrameOutcome::Frame { frame, consumed } => {
                     if let Some(frame) = frame {
                         match store.apply(frame) {
                             Ok(()) => {}
                             // A sequence counter leaving u32 space means
-                            // the fold order can no longer be trusted:
+                            // sequence numbers can no longer be trusted:
                             // surface the corruption instead of silently
                             // discarding a checksum-valid frame.
                             Err(e @ StoreError::SequenceOverflow(_)) => return Err(e),
@@ -558,8 +675,7 @@ impl ProfileStore {
                     .ok_or(StoreError::SequenceOverflow(rec.source))?;
                 let next = self.next_seq.entry(rec.source).or_insert(0);
                 *next = (*next).max(follower);
-                self.counts.push(rec);
-                self.counts_epochs.push(self.current_epoch);
+                self.keep_counts(self.current_epoch, rec);
             }
             Frame::Window(_) => self.window_frames += 1,
             Frame::Epoch(epoch) => {
@@ -673,7 +789,7 @@ impl ProfileStore {
     /// buffered until the next [`ProfileStore::commit`] (or any
     /// non-deferred append), so a writer can batch many appends into one
     /// file write. The assigned `seq` and the in-memory counts (and thus
-    /// [`ProfileStore::counts`] and every fold) reflect the frame
+    /// [`ProfileStore::counts`] and every aggregate) reflect the frame
     /// immediately.
     ///
     /// # Errors
@@ -694,7 +810,7 @@ impl ProfileStore {
     }
 
     /// The append path shared with [`ProfileStore::merge_from`], which
-    /// legitimately carries [`COMPACTED_SOURCE`] fold frames.
+    /// legitimately carries [`COMPACTED_SOURCE`] frames.
     fn push_counts(
         &mut self,
         source: u32,
@@ -720,9 +836,17 @@ impl ProfileStore {
             bbec,
         };
         self.buffer_frame(&Frame::Counts(rec.clone()));
+        self.keep_counts(epoch, rec);
+        Ok(seq)
+    }
+
+    /// Hold a counts frame of `epoch` in memory and add it to the
+    /// running sums.
+    fn keep_counts(&mut self, epoch: u32, rec: CountsRecord) {
+        self.sums.add(epoch, &rec);
+        self.sources.insert(rec.source);
         self.counts.push(rec);
         self.counts_epochs.push(epoch);
-        Ok(seq)
     }
 
     /// Buffer the current epoch's boundary marker if the log does not
@@ -892,17 +1016,22 @@ impl ProfileStore {
         Ok(())
     }
 
-    /// The counts frames and their epoch stamps — everything a read
-    /// query folds, without the identity or the window timeline. The
-    /// records' [`Bbec`]s share storage with the store's copies, so the
-    /// view costs one reference-count bump per frame.
-    pub(crate) fn counts_view(&self) -> (Vec<CountsRecord>, Vec<u32>) {
-        (self.counts.clone(), self.counts_epochs.clone())
+    /// Every epoch's exact partial, ascending by epoch — everything a
+    /// read query needs from this store. Sealed epochs are shared, not
+    /// copied.
+    pub(crate) fn partials(&self) -> Vec<Arc<EpochPartial>> {
+        self.sums.partials()
     }
 
-    /// The canonical aggregate profile (see [`Snapshot::aggregate`]).
+    /// Distinct source ids across the counts frames.
+    pub(crate) fn sources(&self) -> Vec<u32> {
+        self.sources.iter().copied().collect()
+    }
+
+    /// The global aggregate (see [`Snapshot::aggregate`]), from the
+    /// running sums.
     pub fn aggregate(&self) -> Bbec {
-        aggregate(&self.counts, &self.counts_epochs)
+        Partials::gather([self.partials()]).aggregate()
     }
 
     /// Merge another store's contents into this one — lossless: every
@@ -924,14 +1053,17 @@ impl ProfileStore {
     /// };
     /// let mut a = ProfileStore::open_with_identity(dir.join("a.hbbp"), identity.clone())?;
     /// let mut b = ProfileStore::open_with_identity(dir.join("b.hbbp"), identity)?;
-    /// a.append_counts(1, 10, 5, [(0x1000u64, 100.0)].into_iter().collect::<Bbec>())?;
-    /// b.append_counts(2, 20, 9, [(0x1000u64, 50.0)].into_iter().collect::<Bbec>())?;
+    /// a.append_counts(1, 10, 5, [(0x1000u64, 0.1)].into_iter().collect::<Bbec>())?;
+    /// b.append_counts(2, 20, 9, [(0x1000u64, 0.2)].into_iter().collect::<Bbec>())?;
+    /// b.append_counts(2, 20, 9, [(0x1000u64, 0.3)].into_iter().collect::<Bbec>())?;
     ///
-    /// // Lossless: both counts frames survive, and the aggregate is the
-    /// // canonical (source, seq)-ordered fold over the union.
+    /// // Lossless: every counts frame survives, and the aggregate is the
+    /// // correctly rounded exact sum over the union — whatever the order
+    /// // of the adds, so merging the other way round gives the same bits.
     /// a.merge_from(&b.snapshot())?;
-    /// assert_eq!(a.counts().len(), 2);
-    /// assert_eq!(a.aggregate().get(0x1000), 150.0);
+    /// assert_eq!(a.counts().len(), 3);
+    /// assert_eq!(a.aggregate().get(0x1000), 0.6);
+    /// assert_eq!(b.aggregate().get(0x1000), 0.5);
     /// # std::fs::remove_dir_all(&dir)?;
     /// # Ok(())
     /// # }
@@ -953,7 +1085,7 @@ impl ProfileStore {
         in_order.sort_by_key(|r| (r.source, r.seq));
         for rec in in_order {
             // `push_counts`, not the public append: the other store may
-            // legitimately carry `COMPACTED_SOURCE` fold frames. Merged
+            // legitimately carry `COMPACTED_SOURCE` frames. Merged
             // frames are re-sequenced and land in **this** store's
             // current epoch — a merge is an ingest event of the target's
             // timeline.
@@ -971,16 +1103,21 @@ impl ProfileStore {
         self.commit()
     }
 
-    /// Tiered compaction: rewrite the log as identity + **one folded
-    /// counts frame per epoch** + the window timeline (grouped under its
-    /// epoch markers), atomically (temp file + rename + directory fsync;
-    /// this is also the store's fsync point). Every per-epoch aggregate
-    /// — and therefore the global fold — is preserved **bit-exactly**:
-    /// each fold frame is exactly its epoch's canonical aggregate,
-    /// written under [`COMPACTED_SOURCE`]. Only per-recording provenance
-    /// *inside* an epoch is given up; history across epochs survives.
+    /// Tiered compaction: rewrite the log as identity + **each epoch's
+    /// exact partial** + the window timeline (grouped under its epoch
+    /// markers), atomically (temp file + rename + directory fsync; this
+    /// is also the store's fsync point). An epoch's partial is written as
+    /// consecutive counts frames under [`COMPACTED_SOURCE`]: frame *i*
+    /// holds term *i* of each block's canonical expansion, and the first
+    /// frame carries every block of the epoch (its term 0 is the block's
+    /// rounded sum) and the epoch's sample totals. The frames' exact sum
+    /// is the epoch's, so every per-epoch aggregate, the global aggregate
+    /// and every query of a daemon compacting all of its shards stay
+    /// **bit-identical**. Only per-recording provenance *inside* an epoch
+    /// is given up; history across epochs survives. An epoch may thus
+    /// count more than one frame after compaction.
     ///
-    /// The fold frames come from the in-memory counts; the window frames
+    /// The compacted frames come from the running sums; the window frames
     /// are copied from the old log (and any pending bytes) as
     /// checksum-verified raw bytes in one streaming pass, so compaction
     /// holds no more of the timeline than one read buffer. Frames of an
@@ -1019,31 +1156,32 @@ impl ProfileStore {
             .checked_add(1)
             .ok_or(StoreError::SequenceOverflow(COMPACTED_SOURCE))?;
 
-        // One fold frame per epoch with counts, seqs assigned in epoch
-        // order so the folds keep a deterministic (source, seq) order
-        // under the shared COMPACTED_SOURCE id.
+        // Each epoch's term frames, seqs assigned in epoch order.
         let mut next_fold = self.next_seq.get(&COMPACTED_SOURCE).copied().unwrap_or(0);
         let mut folds: Vec<(u32, CountsRecord)> = Vec::new();
-        let order = fold_order(&self.counts, &self.counts_epochs);
-        for group in order.chunk_by(|&a, &b| self.counts_epochs[a] == self.counts_epochs[b]) {
-            let seq = next_fold;
-            next_fold = seq
-                .checked_add(1)
-                .ok_or(StoreError::SequenceOverflow(COMPACTED_SOURCE))?;
-            let records = group.iter().map(|&i| &self.counts[i]);
-            let (ebs_samples, lbr_samples) = records
-                .clone()
-                .fold((0, 0), |(e, l), r| (e + r.ebs_samples, l + r.lbr_samples));
-            folds.push((
-                self.counts_epochs[group[0]],
-                CountsRecord {
-                    source: COMPACTED_SOURCE,
-                    seq,
-                    ebs_samples,
-                    lbr_samples,
-                    bbec: to_bbec(fold(records)),
-                },
-            ));
+        for partial in self.partials() {
+            // An epoch whose frames carry no blocks still keeps one frame,
+            // and with it the epoch and its sample totals.
+            for i in 0..partial.sums.depth().max(1) {
+                let seq = next_fold;
+                next_fold = seq
+                    .checked_add(1)
+                    .ok_or(StoreError::SequenceOverflow(COMPACTED_SOURCE))?;
+                let (ebs_samples, lbr_samples) = match i {
+                    0 => (partial.stats.ebs_samples, partial.stats.lbr_samples),
+                    _ => (0, 0),
+                };
+                folds.push((
+                    partial.stats.epoch,
+                    CountsRecord {
+                        source: COMPACTED_SOURCE,
+                        seq,
+                        ebs_samples,
+                        lbr_samples,
+                        bbec: partial.sums.term(i),
+                    },
+                ));
+            }
         }
 
         let tmp_path = self.path.with_extension("tmp");
@@ -1052,7 +1190,7 @@ impl ProfileStore {
         out.write_all(&VERSION.to_le_bytes())?;
         out.write_all(&encode_frame(&Frame::Identity(identity)))?;
         // Tier by tier in epoch order: each epoch's marker (when it needs
-        // one), its fold frame, then its windows. The log is
+        // one), its compacted frames, then its windows. The log is
         // epoch-ordered, so the windows arrive tier by tier.
         let mut marked = 0u32;
         let mut write = |out: &mut BufWriter<File>, epoch: u32, frame: &[u8]| {
@@ -1094,8 +1232,14 @@ impl ProfileStore {
         // buffered bytes must not be appended again.
         self.pending.clear();
         self.len = len;
-        self.counts_epochs = folds.iter().map(|(e, _)| *e).collect();
-        self.counts = folds.into_iter().map(|(_, f)| f).collect();
+        // Hold the compacted frames as a replay of the new log would.
+        self.counts.clear();
+        self.counts_epochs.clear();
+        self.sums = RunningSums::default();
+        self.sources.clear();
+        for (epoch, fold) in folds {
+            self.keep_counts(epoch, fold);
+        }
         self.next_seq.insert(COMPACTED_SOURCE, next_fold);
         self.marked_epoch = marked;
         self.current_epoch = sealed;
@@ -1368,9 +1512,104 @@ mod tests {
         drop(s);
         let s = ProfileStore::open(&path).unwrap();
         assert_eq!(s.open_report().truncated_bytes, 0);
-        assert_eq!(s.counts().len(), 1, "one fold frame");
+        assert_eq!(s.counts().len(), 1, "one compacted frame");
         assert_eq!(s.aggregate().get(0x400000), 1.0);
         assert_eq!(s.aggregate().get(0x400010), 2.0);
+    }
+
+    /// A window frame with a valid checksum but a payload that does not
+    /// decode: a bad mnemonic code, a mix shorter than its count, trailing
+    /// bytes, a short header. Replay only counts windows, yet it must
+    /// truncate exactly where decoding the frame would, with the same
+    /// report.
+    #[test]
+    fn malformed_window_payloads_truncate_where_decoding_would() {
+        let head = [7u8; 40];
+        let entry = |opcode: u8| {
+            let mut e = vec![opcode];
+            e.extend_from_slice(&1.5f64.to_bits().to_le_bytes());
+            e
+        };
+        let payload = |n: u32, entries: &[Vec<u8>], tail: &[u8]| {
+            let mut p = head.to_vec();
+            p.extend_from_slice(&n.to_le_bytes());
+            for e in entries {
+                p.extend_from_slice(e);
+            }
+            p.extend_from_slice(tail);
+            p
+        };
+        let frame = |payload: &[u8]| {
+            let mut f = vec![T_WINDOW];
+            f.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            let crc = crate::frame::crc32_parts(&[&f[..5], payload]);
+            f.extend_from_slice(&crc.to_le_bytes());
+            f.extend_from_slice(payload);
+            f
+        };
+        // Opcode 0xFFFF as a varint: no such mnemonic.
+        let bad_code = {
+            let mut e = vec![0xFF, 0xFF, 0x03];
+            e.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
+            e
+        };
+        let cases = [
+            ("valid", payload(2, &[entry(1), entry(2)], &[]), true),
+            ("bad mnemonic code", payload(1, &[bad_code], &[]), false),
+            ("short mix", payload(2, &[entry(1)], &[]), false),
+            ("trailing bytes", payload(1, &[entry(1)], &[0]), false),
+            ("short header", head[..39].to_vec(), false),
+        ];
+        for (name, payload, valid) in cases {
+            let path = tmp(&format!("window-{}.hbbp", name.replace(' ', "-")));
+            let mut s = ProfileStore::open_with_identity(&path, identity()).unwrap();
+            s.append_counts(1, 1, 1, bbec(&[(0x400000, 1.0)])).unwrap();
+            let clean = s.file_bytes();
+            drop(s);
+            let raw = frame(&payload);
+            let decodes = matches!(read_frame(&raw), FrameOutcome::Frame { .. });
+            assert_eq!(decodes, valid, "{name}: decode verdict");
+            assert_eq!(window_frame_holds(&raw), valid, "{name}: check verdict");
+            // The frame, then a valid window after it.
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes.extend_from_slice(&raw);
+            bytes.extend_from_slice(&frame(&payload_of_valid_window()));
+            std::fs::write(&path, &bytes).unwrap();
+            let s = ProfileStore::open(&path).unwrap();
+            let tail = (bytes.len() as u64) - clean;
+            let want = if valid {
+                OpenReport {
+                    frames: 4,
+                    truncated_bytes: 0,
+                    existed: true,
+                }
+            } else {
+                OpenReport {
+                    frames: 2,
+                    truncated_bytes: tail,
+                    existed: true,
+                }
+            };
+            assert_eq!(s.open_report(), &want, "{name}");
+            assert_eq!(s.window_frames(), if valid { 2 } else { 0 }, "{name}");
+            assert_eq!(s.file_bytes(), bytes.len() as u64 - want.truncated_bytes);
+        }
+    }
+
+    /// The payload of an ordinary window frame.
+    fn payload_of_valid_window() -> Vec<u8> {
+        let mut mix = MnemonicMix::new();
+        mix.add(hbbp_isa::Mnemonic::Add, 3.0);
+        let frame = encode_frame(&Frame::Window(WindowRecord {
+            source: 2,
+            index: 0,
+            start_cycles: 0,
+            end_cycles: 10,
+            ebs_samples: 1,
+            lbr_samples: 1,
+            mix,
+        }));
+        frame[FRAME_OVERHEAD..].to_vec()
     }
 
     #[test]
@@ -1547,7 +1786,7 @@ mod tests {
         let snap_before = s.snapshot();
         let global_before = snap_before.aggregate();
         s.compact().unwrap();
-        assert_eq!(s.counts().len(), 2, "one fold frame per epoch");
+        assert_eq!(s.counts().len(), 2, "one compacted frame per epoch");
         assert_eq!(s.current_epoch(), 2, "compaction seals the tier");
         let snap_after = s.snapshot();
         assert_eq!(snap_after.epochs(), vec![0, 1]);

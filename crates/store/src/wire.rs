@@ -558,7 +558,8 @@ impl StoreClient {
     }
 
     /// The aggregate instruction mix over everything the daemon has
-    /// stored, derived from the canonical fold of all counts frames.
+    /// stored, derived from the exact aggregate of all counts frames
+    /// ([`crate::Snapshot::aggregate`]).
     ///
     /// # Errors
     ///
@@ -595,7 +596,7 @@ impl StoreClient {
     /// The `k` largest mix movers from epoch `from` to epoch `to`,
     /// descending by `|delta|` (ties: ascending opcode). Each count is
     /// the **signed** `current − baseline` delta of the two epochs'
-    /// canonical folds, bit-identical to an offline
+    /// aggregates, bit-identical to an offline
     /// [`hbbp_core::MixDrift`] recompute over the same counts.
     ///
     /// # Errors

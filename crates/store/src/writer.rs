@@ -13,10 +13,11 @@
 //! Read queries (`QUERY_MIX`, `QUERY_TOP`, `EPOCHS`, `DRIFT`) are
 //! serialized through the same queue, which gives them read-your-writes
 //! consistency per shard for free: the writer commits everything
-//! buffered before answering. The answer is the shard's counts frames
-//! and their epoch stamps — the writer's store holds nothing else: window
-//! frames are written and counted, not kept — and the frames' counts
-//! tables are shared, not copied.
+//! buffered before answering. The answer is the shard's running exact
+//! sums — per epoch, its accounting and each block's sum as an
+//! expansion — so its size and the gathering worker's cost depend on
+//! epochs and blocks, never on the number of frames. Sealed epochs'
+//! partials are shared, not copied.
 //!
 //! Every answer goes back through a [`Reply`], which rings the asking
 //! worker's doorbell once the answer is in its channel — once per
@@ -26,9 +27,9 @@
 //! their clones as they drain), after committing its tail — the
 //! drain-on-shutdown path.
 
-use crate::frame::{CountsRecord, WindowRecord};
+use crate::frame::WindowRecord;
 use crate::poll::Doorbell;
-use crate::store::ProfileStore;
+use crate::store::{EpochPartial, ProfileStore};
 use hbbp_obs::{Counter, Gauge, Histogram, Metrics};
 use hbbp_program::Bbec;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -103,29 +104,24 @@ pub(crate) enum WriterMsg {
         /// Where the committed `seq` (or error) goes.
         reply: Reply<Result<u32, String>>,
     },
-    /// The shard's counts frames for a read query (pending appends
-    /// committed first). The shard index is echoed back so gathering
-    /// workers can fold partitions in index order — compacted fold
-    /// frames all share the same `(source, seq)` key, so arrival order
-    /// must not leak into the canonical aggregate.
-    ReadCounts(usize, Reply<ShardCounts>),
+    /// The shard's exact partial of every epoch, ascending by epoch, for
+    /// a read query (pending appends committed first). Exact sums do not
+    /// depend on order, so the gathering worker adds the shards' answers
+    /// as they arrive.
+    ReadSums(Reply<Vec<Arc<EpochPartial>>>),
     /// Shard statistics (pending appends committed first).
     Stats(Reply<ShardStats>),
     /// Compact the shard's log (pending appends absorbed by the rewrite).
     Compact(Reply<Result<(), String>>),
 }
 
-/// One shard's answer to [`WriterMsg::ReadCounts`]: the shard index,
-/// its counts frames in log order, and each frame's epoch stamp.
-pub(crate) type ShardCounts = (usize, Vec<CountsRecord>, Vec<u32>);
-
 /// One shard's contribution to [`crate::wire::DaemonStats`].
 pub(crate) struct ShardStats {
     pub counts_frames: u64,
     pub window_frames: u64,
     pub bytes: u64,
-    /// Source ids in this shard's counts frames (deduped globally by the
-    /// gathering worker).
+    /// Distinct source ids in this shard's counts frames (the gathering
+    /// worker dedups them across shards).
     pub sources: Vec<u32>,
 }
 
@@ -185,10 +181,9 @@ pub(crate) fn writer_loop(
                     }
                     Err(e) => reply.send(Err(e.to_string())),
                 },
-                WriterMsg::ReadCounts(shard, reply) => {
+                WriterMsg::ReadSums(reply) => {
                     commit(&mut store, &mut uncommitted, &metrics, &mut dirty);
-                    let (counts, epochs) = store.counts_view();
-                    reply.send((shard, counts, epochs));
+                    reply.send(store.partials());
                 }
                 WriterMsg::Stats(reply) => {
                     commit(&mut store, &mut uncommitted, &metrics, &mut dirty);
@@ -196,7 +191,7 @@ pub(crate) fn writer_loop(
                         counts_frames: store.counts().len() as u64,
                         window_frames: store.window_frames(),
                         bytes: store.file_bytes(),
-                        sources: store.counts().iter().map(|c| c.source).collect(),
+                        sources: store.sources(),
                     });
                 }
                 WriterMsg::Compact(reply) => {

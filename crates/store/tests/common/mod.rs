@@ -9,6 +9,7 @@ use hbbp_core::{Analyzer, HybridRule, SamplingPeriods};
 use hbbp_perf::{PerfData, PerfSession, Recording};
 use hbbp_program::{Bbec, ImageView};
 use hbbp_sim::Cpu;
+use hbbp_store::{CountsRecord, Snapshot};
 use hbbp_workloads::{phased_client, Scale, Workload};
 use std::path::PathBuf;
 
@@ -49,14 +50,28 @@ pub fn analyzer_for(w: &Workload) -> Analyzer {
     Analyzer::from_images(&w.images(ImageView::Disk), w.layout().symbols()).expect("discovery")
 }
 
-/// The single-process reference: fold per-recording batch analyses in
-/// source order.
+/// The single-process reference: the aggregate of per-recording batch
+/// analyses, one counts frame each in one epoch — the correctly rounded
+/// exact sum, whatever the order of the recordings.
 pub fn batch_fold(analyzer: &Analyzer, recordings: &[&PerfData]) -> Bbec {
     let rule = HybridRule::paper_default();
-    let mut acc = Bbec::new();
-    for data in recordings {
-        let analysis = analyzer.analyze_fused(data, PERIODS, &rule);
-        acc.merge(&analysis.hbbp.bbec);
+    let counts: Vec<CountsRecord> = recordings
+        .iter()
+        .enumerate()
+        .map(|(source, data)| CountsRecord {
+            source: source as u32,
+            seq: 0,
+            ebs_samples: 0,
+            lbr_samples: 0,
+            bbec: analyzer.analyze_fused(data, PERIODS, &rule).hbbp.bbec,
+        })
+        .collect();
+    Snapshot {
+        identity: None,
+        counts_epochs: vec![0; counts.len()],
+        counts,
+        windows: Vec::new(),
+        window_epochs: Vec::new(),
     }
-    acc
+    .aggregate()
 }

@@ -1,13 +1,13 @@
 //! Tiered-compaction properties: whatever the epoch structure, and
 //! whatever happens to the file afterwards, the per-epoch aggregates and
-//! the global fold survive `compact()` **bit-exactly** — compaction may
-//! regroup segments, but only within an epoch, never across one.
+//! the global aggregate survive `compact()` **bit-exactly** — compaction
+//! rewrites segments, but only within an epoch, never across one.
 
 use hbbp_program::Bbec;
 use hbbp_program::Ring;
-use hbbp_store::{ModuleSpan, ProfileStore, Snapshot, StoreIdentity};
+use hbbp_store::{ModuleSpan, ProfileStore, Snapshot, StoreIdentity, COMPACTED_SOURCE};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -87,7 +87,7 @@ fn build(groups: &[Vec<CountsSpec>]) -> (PathBuf, ProfileStore) {
     (path, store)
 }
 
-/// Every epoch's canonical fold, bit-tagged for exact comparison.
+/// Every epoch's aggregate, bit-tagged for exact comparison.
 fn epoch_folds(snap: &Snapshot) -> BTreeMap<u32, Vec<(u64, u64)>> {
     snap.epochs()
         .into_iter()
@@ -123,8 +123,11 @@ proptest! {
         let after = store.snapshot();
         prop_assert_eq!(&epoch_folds(&after), &want_epochs);
         prop_assert_eq!(&global_fold(&after), &want_global);
-        // One fold frame per epoch that had counts.
-        prop_assert_eq!(store.counts().len(), want_epochs.len());
+        // Every epoch that had counts keeps its exact partial in
+        // compacted frames, and nothing else remains.
+        let compacted: BTreeSet<u32> = after.counts_epochs.iter().copied().collect();
+        prop_assert_eq!(compacted, want_epochs.keys().copied().collect::<BTreeSet<u32>>());
+        prop_assert!(store.counts().iter().all(|r| r.source == COMPACTED_SOURCE));
         // Compaction seals: if anything was stored, the live epoch is new.
         if !want_epochs.is_empty() {
             prop_assert!(

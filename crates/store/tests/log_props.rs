@@ -1,11 +1,12 @@
 //! The store's log paths against references kept here:
 //!
-//! - the canonical fold (`Snapshot::aggregate`, `epoch_aggregate`)
-//!   against a `BTreeMap` fold that merges each epoch's frames, stably
-//!   sorted by `(source, seq)`, left to right, then the epoch folds in
-//!   epoch order — bit for bit, `-0.0` and NaN included;
+//! - the aggregates (`Snapshot::aggregate`, `epoch_aggregate`) against
+//!   the big-integer exact sums of `hbbp-oracle`: per epoch and block the
+//!   exact sum of the frames' values, then per block the exact sum of the
+//!   rounded epoch values — bit for bit, `-0.0` and NaN included;
 //! - `compact()` against a reference compaction written with an encoder
-//!   of its own: identity, then per epoch its marker, its fold frame and
+//!   of its own: identity, then per epoch its marker, its compacted
+//!   frames (term *i* of each block's oracle expansion in frame *i*) and
 //!   its windows, then the seal marker — byte for byte, whatever mix of
 //!   counts, windows, epoch advances, merges and uncommitted deferred
 //!   appends came before;
@@ -13,6 +14,7 @@
 //!   of the file.
 
 use hbbp_isa::Mnemonic;
+use hbbp_oracle::exact::{exact_expansion, exact_sum};
 use hbbp_program::{Bbec, MnemonicMix, Ring};
 use hbbp_store::{
     CountsRecord, ModuleSpan, ProfileStore, Snapshot, StoreIdentity, WindowRecord, COMPACTED_SOURCE,
@@ -117,42 +119,50 @@ fn bits(entries: impl IntoIterator<Item = (u64, f64)>) -> Vec<(u64, u64)> {
 }
 
 // ---------------------------------------------------------------------
-// The reference fold.
+// The reference aggregates.
 
-/// One epoch's frames, stably sorted by `(source, seq)`, merged left to
-/// right: a key's first count lands as `0.0 + c`, later ones add.
-fn reference_epoch(snap: &Snapshot, epoch: u32) -> BTreeMap<u64, f64> {
-    let mut order: Vec<&CountsRecord> = snap
+/// Each block's values over one epoch's frames.
+fn epoch_values(snap: &Snapshot, epoch: u32) -> BTreeMap<u64, Vec<f64>> {
+    let mut values: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
+    for (rec, _) in snap
         .counts
         .iter()
         .zip(&snap.counts_epochs)
         .filter(|(_, e)| **e == epoch)
-        .map(|(r, _)| r)
-        .collect();
-    order.sort_by_key(|r| (r.source, r.seq));
-    let mut acc = BTreeMap::new();
-    for rec in order {
+    {
         for (addr, count) in rec.bbec.iter() {
-            *acc.entry(addr).or_insert(0.0) += count;
+            values.entry(addr).or_default().push(count);
         }
     }
-    acc
+    values
 }
 
-/// The epoch folds merged in epoch order, window-only epochs included.
+/// One epoch's aggregate: each block's exact sum, rounded.
+fn reference_epoch(snap: &Snapshot, epoch: u32) -> BTreeMap<u64, f64> {
+    epoch_values(snap, epoch)
+        .into_iter()
+        .map(|(addr, values)| (addr, exact_sum(&values)))
+        .collect()
+}
+
+/// The exact sum of the rounded epoch aggregates, window-only epochs
+/// included.
 fn reference_aggregate(snap: &Snapshot) -> BTreeMap<u64, f64> {
-    let mut acc = BTreeMap::new();
+    let mut values: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
     for epoch in snap.epochs() {
         for (addr, count) in reference_epoch(snap, epoch) {
-            *acc.entry(addr).or_insert(0.0) += count;
+            values.entry(addr).or_default().push(count);
         }
     }
-    acc
+    values
+        .into_iter()
+        .map(|(addr, values)| (addr, exact_sum(&values)))
+        .collect()
 }
 
 /// One counts frame: `(epoch, source slot, seq, entries)`. Slot 3 is
-/// [`COMPACTED_SOURCE`] with seq 0 — the fold frames of several shards
-/// sharing one key, kept in their log (shard) order.
+/// [`COMPACTED_SOURCE`] with seq 0 — compacted frames of several shards
+/// sharing one key.
 type FrameSpec = (u8, u8, u8, Entries);
 
 fn snapshot_of(frames: &[FrameSpec], window_epochs: &[u8]) -> Snapshot {
@@ -189,9 +199,9 @@ fn snapshot_of(frames: &[FrameSpec], window_epochs: &[u8]) -> Snapshot {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The single-pass sorted fold is the reference fold, bit for bit.
+    /// The aggregates are the oracle's exact sums, bit for bit.
     #[test]
-    fn sorted_fold_matches_the_reference_fold(
+    fn exact_fold_matches_the_oracle(
         frames in proptest::collection::vec(
             (any::<u8>(), any::<u8>(), any::<u8>(), arb_entries()),
             0..48,
@@ -306,9 +316,11 @@ fn epoch_frame(out: &mut Vec<u8>, epoch: u32) {
 }
 
 /// The compacted log of `snap` sealed into epoch `sealed`: identity, then
-/// per epoch its marker (epoch 0 is implicit), its fold frame (the
-/// reference fold under `COMPACTED_SOURCE`, seqs continuing that source's
-/// sequence) and its windows in log order, then the seal marker.
+/// per epoch its marker (epoch 0 is implicit), its compacted frames under
+/// `COMPACTED_SOURCE` (seqs continuing that source's sequence; frame *i*
+/// holds term *i* of each block's oracle expansion, at least one frame,
+/// the first with the epoch's sample totals) and its windows in log
+/// order, then the seal marker.
 fn reference_compaction(snap: &Snapshot, sealed: u32) -> Vec<u8> {
     let mut out = b"HBBPSTOR".to_vec();
     out.extend_from_slice(&1u32.to_le_bytes());
@@ -334,21 +346,37 @@ fn reference_compaction(snap: &Snapshot, sealed: u32) -> Vec<u8> {
             .map(|(r, _)| r)
             .collect();
         if !members.is_empty() {
-            let fold = CountsRecord {
-                source: COMPACTED_SOURCE,
-                seq: next_fold,
-                ebs_samples: members.iter().map(|r| r.ebs_samples).sum(),
-                lbr_samples: members.iter().map(|r| r.lbr_samples).sum(),
-                bbec: reference_epoch(snap, epoch).into_iter().fold(
-                    Bbec::new(),
-                    |mut b, (a, c)| {
-                        b.set(a, c);
-                        b
+            let expansions: Vec<(u64, Vec<f64>)> = epoch_values(snap, epoch)
+                .into_iter()
+                .map(|(addr, values)| (addr, exact_expansion(&values)))
+                .collect();
+            let depth = expansions.iter().map(|(_, t)| t.len()).max().unwrap_or(0);
+            for i in 0..depth.max(1) {
+                let mut bbec = Bbec::new();
+                for (addr, terms) in &expansions {
+                    if let Some(&t) = terms.get(i) {
+                        bbec.set(*addr, t);
+                    }
+                }
+                let first = i == 0;
+                let frame = CountsRecord {
+                    source: COMPACTED_SOURCE,
+                    seq: next_fold,
+                    ebs_samples: if first {
+                        members.iter().map(|r| r.ebs_samples).sum()
+                    } else {
+                        0
                     },
-                ),
-            };
-            next_fold += 1;
-            counts_frame(&mut out, &fold);
+                    lbr_samples: if first {
+                        members.iter().map(|r| r.lbr_samples).sum()
+                    } else {
+                        0
+                    },
+                    bbec,
+                };
+                next_fold += 1;
+                counts_frame(&mut out, &frame);
+            }
         }
         for (w, e) in snap.windows.iter().zip(&snap.window_epochs) {
             if *e == epoch {

@@ -83,7 +83,8 @@ fn stats_counts_the_windows_the_streams_flushed() {
     let reply = client.stream_data(3, &clients[3].1.data).expect("stream");
     flushed += u64::from(reply.windows_flushed);
     want.extend(offline_windows(&analyzer, 3, &clients[3].1.data));
-    assert_eq!(client.stats().expect("stats").window_frames, flushed);
+    let live = client.stats().expect("stats");
+    assert_eq!(live.window_frames, flushed);
     assert_eq!(want.len() as u64, flushed);
     handle.shutdown().expect("shutdown");
 
@@ -91,7 +92,10 @@ fn stats_counts_the_windows_the_streams_flushed() {
     let handle = spawn(analyzer_for(&clients[0].0), identity, &dir);
     let stats = handle.client().stats().expect("stats after restart");
     assert_eq!(stats.window_frames, flushed);
-    assert_eq!(stats.counts_frames, SHARDS as u64 + 1);
+    // Each shard's compacted frames (at least one), then the fourth
+    // stream's frame.
+    assert_eq!(stats.counts_frames, live.counts_frames);
+    assert!(stats.counts_frames > SHARDS as u64);
     handle.shutdown().expect("shutdown");
 
     // The partitions read back exactly the streams' windows.
