@@ -178,7 +178,7 @@ impl StoreOptions {
                     out,
                     "{}: {} counts frames, {} window frames, {} bytes",
                     into.display(),
-                    dest.counts().len(),
+                    dest.counts_frames(),
                     dest.window_frames(),
                     dest.file_bytes()
                 );

@@ -62,9 +62,12 @@
 //! assert_eq!(store.aggregate().get(0x400000), 1500.0);
 //!
 //! // Reopening replays the log; a torn tail would be truncated here.
+//! // The store keeps running sums and a frame tally; the frames
+//! // themselves stay in the log and a snapshot reads them back.
 //! drop(store);
 //! let store = ProfileStore::open(&path)?;
-//! assert_eq!(store.counts().len(), 2);
+//! assert_eq!(store.counts_frames(), 2);
+//! assert_eq!(store.snapshot().counts.len(), 2);
 //! assert_eq!(store.aggregate().get(0x400040), 10.0);
 //! # std::fs::remove_file(&path)?;
 //! # Ok(())

@@ -49,7 +49,7 @@ use crate::wire::{
     RESP_METRICS, RESP_MIX, RESP_OK, RESP_STATS,
 };
 use crate::writer::{Reply, ShardStats, WriterMsg};
-use hbbp_core::{MixDrift, OnlineAnalyzer, OnlineOutcome};
+use hbbp_core::{MixDrift, OnlineAnalyzer, OnlineOutcome, WindowedAnalysis};
 use hbbp_obs::{Counter, Gauge, Histogram, Metrics};
 use hbbp_perf::{RecordView, StreamDecoder, StreamStats, ViewSink};
 use std::io::{ErrorKind, Read, Write};
@@ -141,6 +141,61 @@ impl WorkerCtx<'_> {
     }
 }
 
+/// A request fanned out to every shard writer: the answers so far.
+struct Gather<T> {
+    rx: Receiver<T>,
+    want: usize,
+    got: Vec<T>,
+}
+
+/// A reply rendered from every shard's answers: a response message, or
+/// the text of an error reply.
+type Rendered = Result<(u8, Vec<u8>), String>;
+
+/// Where a [`Gather`] stands after taking what has arrived.
+enum Gathered {
+    /// Some shard has yet to answer; whether any answer came in.
+    Waiting(bool),
+    /// Every shard answered, or a writer went away without answering.
+    Reply(Rendered),
+}
+
+impl<T> Gather<T> {
+    fn new(rx: Receiver<T>, want: usize) -> Gather<T> {
+        Gather {
+            rx,
+            want,
+            got: Vec::new(),
+        }
+    }
+
+    /// Take every answer that has arrived, without blocking; once every
+    /// shard has answered, `render` the answers (in arrival order).
+    fn poll(&mut self, render: impl FnOnce(Vec<T>) -> Rendered) -> Gathered {
+        let mut progress = false;
+        loop {
+            match self.rx.try_recv() {
+                Ok(answer) => {
+                    self.got.push(answer);
+                    progress = true;
+                }
+                Err(TryRecvError::Empty) => break,
+                // All repliers dropped their senders — expected once every
+                // shard has answered; fatal only if one never did.
+                Err(TryRecvError::Disconnected) if self.got.len() < self.want => {
+                    return Gathered::Reply(Err("shard writer gone".to_owned()));
+                }
+                Err(TryRecvError::Disconnected) => break,
+            }
+        }
+        if self.got.len() == self.want {
+            Gathered::Reply(render(std::mem::take(&mut self.got)))
+        } else {
+            Gathered::Waiting(progress)
+        }
+    }
+}
+
 /// What a read query renders once every shard's partials arrive.
 enum SnapQuery {
     Mix,
@@ -162,6 +217,19 @@ struct Ingest<'a> {
     /// [`Conn::tick_ingest`]); tracked so the park/unpark counters see
     /// each transition exactly once.
     parked: bool,
+}
+
+/// The timeline record of a window `source`'s stream closed.
+fn window_record(source: u32, closed: WindowedAnalysis) -> WindowRecord {
+    WindowRecord {
+        source,
+        index: closed.index as u32,
+        start_cycles: closed.start_cycles,
+        end_cycles: closed.end_cycles,
+        ebs_samples: closed.ebs_samples,
+        lbr_samples: closed.lbr_samples,
+        mix: closed.mix,
+    }
 }
 
 /// A completed stream handing its results to the shard writer and
@@ -188,25 +256,11 @@ enum ConnState<'a> {
     /// Stream complete: submitting results, awaiting the committed seq.
     Commit(Box<CommitState>),
     /// Read query: awaiting every shard's epoch partials.
-    Gather {
-        rx: Receiver<Vec<Arc<EpochPartial>>>,
-        want: usize,
-        got: Vec<Vec<Arc<EpochPartial>>>,
-        query: SnapQuery,
-    },
+    Gather(Gather<Vec<Arc<EpochPartial>>>, SnapQuery),
     /// `OP_STATS`: awaiting one [`ShardStats`] per shard.
-    GatherStats {
-        rx: Receiver<ShardStats>,
-        want: usize,
-        got: Vec<ShardStats>,
-    },
+    GatherStats(Gather<ShardStats>),
     /// `OP_COMPACT`: awaiting one ack per shard.
-    GatherCompact {
-        rx: Receiver<Result<(), String>>,
-        want: usize,
-        seen: usize,
-        failed: Option<String>,
-    },
+    GatherCompact(Gather<Result<(), String>>),
     /// Response queued; writing it out, then closing (or lingering).
     Flush,
     /// An error reply went out before the peer finished sending (say, a
@@ -356,9 +410,9 @@ impl<'a> Conn<'a> {
             ConnState::ReadRequest => self.tick_read_request(ctx, scratch),
             ConnState::Ingest(_) => self.tick_ingest(ctx, scratch),
             ConnState::Commit(_) => self.tick_commit(ctx),
-            ConnState::Gather { .. } => self.tick_gather(ctx),
-            ConnState::GatherStats { .. } => self.tick_gather_stats(ctx),
-            ConnState::GatherCompact { .. } => self.tick_gather_compact(),
+            ConnState::Gather(..) | ConnState::GatherStats(_) | ConnState::GatherCompact(_) => {
+                self.tick_gather(ctx)
+            }
             ConnState::Flush => self.tick_flush(),
             ConnState::Linger => self.tick_linger(scratch),
             ConnState::Done => false,
@@ -479,20 +533,11 @@ impl<'a> Conn<'a> {
             }
             OP_STATS => {
                 let rx = ctx.fan_out(WriterMsg::Stats);
-                self.state = ConnState::GatherStats {
-                    rx,
-                    want: ctx.shards.len(),
-                    got: Vec::new(),
-                };
+                self.state = ConnState::GatherStats(Gather::new(rx, ctx.shards.len()));
             }
             OP_COMPACT => {
                 let rx = ctx.fan_out(WriterMsg::Compact);
-                self.state = ConnState::GatherCompact {
-                    rx,
-                    want: ctx.shards.len(),
-                    seen: 0,
-                    failed: None,
-                };
+                self.state = ConnState::GatherCompact(Gather::new(rx, ctx.shards.len()));
             }
             OP_METRICS => {
                 let payload = ctx.metrics().snapshot().encode();
@@ -510,12 +555,7 @@ impl<'a> Conn<'a> {
 
     fn start_gather(&mut self, ctx: &WorkerCtx<'a>, query: SnapQuery) {
         let rx = ctx.fan_out(WriterMsg::ReadSums);
-        self.state = ConnState::Gather {
-            rx,
-            want: ctx.shards.len(),
-            got: Vec::new(),
-            query,
-        };
+        self.state = ConnState::Gather(Gather::new(rx, ctx.shards.len()), query);
     }
 
     /// Decode everything buffered in the stream decoder into the online
@@ -553,17 +593,11 @@ impl<'a> Conn<'a> {
             .decode_into(&mut sink)
             .map_err(|e| format!("perf stream: {e}"))?;
         if let Some(w) = &mut ingest.windowed {
-            for closed in w.take_closed_windows() {
-                ingest.pending_windows.push(WindowRecord {
-                    source: ingest.source,
-                    index: closed.index as u32,
-                    start_cycles: closed.start_cycles,
-                    end_cycles: closed.end_cycles,
-                    ebs_samples: closed.ebs_samples,
-                    lbr_samples: closed.lbr_samples,
-                    mix: closed.mix,
-                });
-            }
+            let source = ingest.source;
+            let closed = w.take_closed_windows().into_iter();
+            ingest
+                .pending_windows
+                .extend(closed.map(|c| window_record(source, c)));
         }
         self.flush_windows(ctx);
         Ok(())
@@ -709,17 +743,8 @@ impl<'a> Conn<'a> {
         if let Some(w) = windowed {
             let windowed_outcome = w.finish();
             Self::harvest_windows(&metrics, &windowed_outcome);
-            for closed in windowed_outcome.windows {
-                pending_windows.push(WindowRecord {
-                    source,
-                    index: closed.index as u32,
-                    start_cycles: closed.start_cycles,
-                    end_cycles: closed.end_cycles,
-                    ebs_samples: closed.ebs_samples,
-                    lbr_samples: closed.lbr_samples,
-                    mix: closed.mix,
-                });
-            }
+            let closed = windowed_outcome.windows.into_iter();
+            pending_windows.extend(closed.map(|c| window_record(source, c)));
         }
         let (tx, rx) = std::sync::mpsc::channel();
         let reply = Reply::fan(&tx, ctx.bell, 1).pop().expect("one reply");
@@ -804,171 +829,32 @@ impl<'a> Conn<'a> {
         }
     }
 
+    /// Take the shard writers' answers to a fanned-out request; once
+    /// every shard has answered, render and queue the reply.
     fn tick_gather(&mut self, ctx: &WorkerCtx<'a>) -> bool {
-        let ConnState::Gather {
-            rx,
-            want,
-            got,
-            query,
-        } = &mut self.state
-        else {
-            return false;
+        let gathered = match &mut self.state {
+            ConnState::Gather(gather, query) => {
+                gather.poll(|partials| render_query(ctx, query, partials))
+            }
+            ConnState::GatherStats(gather) => gather.poll(|shards| render_stats(ctx, shards)),
+            // The first failure in arrival order, if any shard failed.
+            ConnState::GatherCompact(gather) => gather.poll(|acks| {
+                let acked: Result<(), String> = acks.into_iter().collect();
+                acked.map(|()| (RESP_OK, Vec::new()))
+            }),
+            _ => return false,
         };
-        let mut progress = false;
-        let mut dead = false;
-        loop {
-            match rx.try_recv() {
-                Ok(reply) => {
-                    got.push(reply);
-                    progress = true;
-                }
-                Err(TryRecvError::Empty) => break,
-                // All repliers dropped their senders — expected once every
-                // shard has answered; fatal only if one never did.
-                Err(TryRecvError::Disconnected) => {
-                    dead = true;
-                    break;
-                }
+        match gathered {
+            Gathered::Waiting(progress) => progress,
+            Gathered::Reply(Ok((code, payload))) => {
+                self.respond(code, &payload);
+                true
+            }
+            Gathered::Reply(Err(message)) => {
+                self.respond_err(&message);
+                true
             }
         }
-        if dead && got.len() < *want {
-            self.respond_err("shard writer gone");
-            return true;
-        }
-        if got.len() == *want {
-            let combined = Partials::gather(got.drain(..));
-            let (code, payload) = match query {
-                SnapQuery::Mix => {
-                    let mix = ctx.shared.analyzer.mix(&combined.aggregate());
-                    let entries: Vec<_> = mix.iter().collect();
-                    (RESP_MIX, encode_mix(&entries))
-                }
-                SnapQuery::Top(k) => {
-                    let mix = ctx.shared.analyzer.mix(&combined.aggregate());
-                    (RESP_MIX, encode_mix(&mix.top(*k as usize)))
-                }
-                SnapQuery::Epochs => (RESP_EPOCHS, encode_epochs(&combined.epoch_stats())),
-                SnapQuery::Drift { from, to, k } => {
-                    for e in [*from, *to] {
-                        if !combined.has_epoch(e) {
-                            self.respond_err(&format!("store has no epoch {e}"));
-                            return true;
-                        }
-                    }
-                    let baseline = ctx.shared.analyzer.mix(&combined.epoch_aggregate(*from));
-                    let current = ctx.shared.analyzer.mix(&combined.epoch_aggregate(*to));
-                    let movers: Vec<_> = MixDrift::between(&baseline, &current)
-                        .top_movers(*k as usize)
-                        .into_iter()
-                        .map(|row| (row.mnemonic, row.delta))
-                        .collect();
-                    (RESP_MIX, encode_mix(&movers))
-                }
-            };
-            self.respond(code, &payload);
-            return true;
-        }
-        progress
-    }
-
-    fn tick_gather_stats(&mut self, ctx: &WorkerCtx<'a>) -> bool {
-        let ConnState::GatherStats { rx, want, got } = &mut self.state else {
-            return false;
-        };
-        let mut progress = false;
-        let mut dead = false;
-        loop {
-            match rx.try_recv() {
-                Ok(stats) => {
-                    got.push(stats);
-                    progress = true;
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    dead = true;
-                    break;
-                }
-            }
-        }
-        if dead && got.len() < *want {
-            self.respond_err("shard writer gone");
-            return true;
-        }
-        if got.len() == *want {
-            let m = ctx.metrics();
-            let mut stats = DaemonStats {
-                shards: ctx.shards.len() as u32,
-                counts_frames: 0,
-                window_frames: 0,
-                sources: 0,
-                store_bytes: 0,
-                parked_connections: m.gauge_value(Gauge::WorkerParkedConnections, 0).0 as u32,
-                writer_queues: (0..ctx.shards.len())
-                    .map(|i| {
-                        let (current, high_water) = m.gauge_value(Gauge::WriterQueueDepth, i);
-                        ShardQueueDepth {
-                            current: current as u32,
-                            high_water: high_water as u32,
-                        }
-                    })
-                    .collect(),
-            };
-            let mut sources: Vec<u32> = Vec::new();
-            for shard in got.drain(..) {
-                stats.counts_frames += shard.counts_frames;
-                stats.window_frames += shard.window_frames;
-                stats.store_bytes += shard.bytes;
-                sources.extend(shard.sources);
-            }
-            sources.sort_unstable();
-            sources.dedup();
-            stats.sources = sources.len() as u32;
-            self.respond(RESP_STATS, &encode_stats(&stats));
-            return true;
-        }
-        progress
-    }
-
-    fn tick_gather_compact(&mut self) -> bool {
-        let ConnState::GatherCompact {
-            rx,
-            want,
-            seen,
-            failed,
-        } = &mut self.state
-        else {
-            return false;
-        };
-        let mut progress = false;
-        let mut dead = false;
-        loop {
-            match rx.try_recv() {
-                Ok(result) => {
-                    *seen += 1;
-                    progress = true;
-                    if let Err(m) = result {
-                        failed.get_or_insert(m);
-                    }
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    dead = true;
-                    break;
-                }
-            }
-        }
-        if dead && *seen < *want {
-            self.respond_err("shard writer gone");
-            return true;
-        }
-        if *seen == *want {
-            match failed.take() {
-                Some(m) => self.respond_err(&m),
-                None => self.respond(RESP_OK, &[]),
-            }
-            return true;
-        }
-        progress
     }
 
     fn tick_flush(&mut self) -> bool {
@@ -1010,6 +896,76 @@ impl<'a> Conn<'a> {
         }
         pass.bytes > 0
     }
+}
+
+/// A read query's reply, from every shard's epoch partials.
+fn render_query(
+    ctx: &WorkerCtx<'_>,
+    query: &SnapQuery,
+    partials: Vec<Vec<Arc<EpochPartial>>>,
+) -> Rendered {
+    let combined = Partials::gather(partials);
+    let analyzer = &ctx.shared.analyzer;
+    Ok(match query {
+        SnapQuery::Mix => {
+            let mix = analyzer.mix(&combined.aggregate());
+            let entries: Vec<_> = mix.iter().collect();
+            (RESP_MIX, encode_mix(&entries))
+        }
+        SnapQuery::Top(k) => {
+            let mix = analyzer.mix(&combined.aggregate());
+            (RESP_MIX, encode_mix(&mix.top(*k as usize)))
+        }
+        SnapQuery::Epochs => (RESP_EPOCHS, encode_epochs(&combined.epoch_stats())),
+        SnapQuery::Drift { from, to, k } => {
+            for e in [*from, *to] {
+                if !combined.has_epoch(e) {
+                    return Err(format!("store has no epoch {e}"));
+                }
+            }
+            let baseline = analyzer.mix(&combined.epoch_aggregate(*from));
+            let current = analyzer.mix(&combined.epoch_aggregate(*to));
+            let movers: Vec<_> = MixDrift::between(&baseline, &current)
+                .top_movers(*k as usize)
+                .into_iter()
+                .map(|row| (row.mnemonic, row.delta))
+                .collect();
+            (RESP_MIX, encode_mix(&movers))
+        }
+    })
+}
+
+/// The `STATS` reply, from every shard's statistics and the registry.
+fn render_stats(ctx: &WorkerCtx<'_>, shards: Vec<ShardStats>) -> Rendered {
+    let m = ctx.metrics();
+    let mut stats = DaemonStats {
+        shards: ctx.shards.len() as u32,
+        counts_frames: 0,
+        window_frames: 0,
+        sources: 0,
+        store_bytes: 0,
+        parked_connections: m.gauge_value(Gauge::WorkerParkedConnections, 0).0 as u32,
+        writer_queues: (0..ctx.shards.len())
+            .map(|i| {
+                let (current, high_water) = m.gauge_value(Gauge::WriterQueueDepth, i);
+                ShardQueueDepth {
+                    current: current as u32,
+                    high_water: high_water as u32,
+                }
+            })
+            .collect(),
+    };
+    let mut sources: Vec<u32> = Vec::new();
+    for shard in shards {
+        stats.counts_frames += shard.counts_frames;
+        stats.window_frames += shard.window_frames;
+        stats.store_bytes += shard.bytes;
+        sources.extend(shard.sources);
+    }
+    sources.sort_unstable();
+    sources.dedup();
+    stats.sources = sources.len() as u32;
+    Ok((RESP_STATS, encode_stats(&stats)))
 }
 
 /// A worker's locally batched tick counters, flushed into the registry

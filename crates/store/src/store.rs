@@ -10,15 +10,16 @@
 //!
 //! ## What stays in memory
 //!
-//! An open store keeps the identity, every counts frame with its epoch
-//! stamp, and each epoch's running exact sums (what its queries read).
-//! Window frames are checked, encoded
-//! and written, then only **counted** — the timeline is a record for
-//! offline readers, not something a query reads, so an always-on daemon
-//! does not grow with it. [`ProfileStore::snapshot`] and
-//! [`ProfileStore::windows`] read the windows back from the log;
-//! [`ProfileStore::open`] and [`ProfileStore::compact`] stream the log
-//! through a bounded buffer rather than reading it whole.
+//! An open store keeps the identity, each epoch's running exact sums
+//! (what its queries read), the distinct source ids with their next
+//! sequence numbers, and a tally of its counts and window frames. The
+//! frames themselves live only in the log: each is checked, encoded and
+//! written, then only **counted**, so an always-on daemon grows with its
+//! sources and epochs, not with the streams it accepts.
+//! [`ProfileStore::snapshot`] reads counts and window frames back from
+//! the log in one pass; [`ProfileStore::open`] and
+//! [`ProfileStore::compact`] stream the log through a bounded buffer
+//! rather than reading it whole.
 //!
 //! ## Merge semantics (what "lossless" means here)
 //!
@@ -69,7 +70,7 @@ use crate::exact::{sum_epochs, BlockSums, Expansions};
 use crate::frame::{
     crc_holds, encode_frame, frame_len, read_frame, window_frame_holds, CountsRecord, Frame,
     FrameOutcome, ModuleSpan, StoreIdentity, WindowRecord, FRAME_OVERHEAD, HEADER_LEN, MAGIC,
-    T_EPOCH, T_WINDOW, VERSION,
+    T_COUNTS, T_EPOCH, T_WINDOW, VERSION,
 };
 use hbbp_program::{Bbec, BlockMap};
 use hbbp_workloads::Workload;
@@ -171,6 +172,18 @@ pub struct EpochStats {
     pub lbr_samples: u64,
 }
 
+impl EpochStats {
+    /// An epoch with no counts frames.
+    fn empty(epoch: u32) -> EpochStats {
+        EpochStats {
+            epoch,
+            counts_frames: 0,
+            ebs_samples: 0,
+            lbr_samples: 0,
+        }
+    }
+}
+
 /// An immutable, in-memory view of a store's contents — what queries,
 /// merges and differential tests consume.
 #[derive(Debug, Clone, PartialEq)]
@@ -194,11 +207,7 @@ impl Snapshot {
     /// split across stores, so it is bit-identical before and after
     /// [`ProfileStore::compact`] and to a multi-shard daemon's answer.
     pub fn aggregate(&self) -> Bbec {
-        let epochs: Vec<Bbec> = epoch_sums(&self.counts, &self.counts_epochs)
-            .values()
-            .map(BlockSums::round)
-            .collect();
-        sum_epochs(&epochs)
+        self.partials(|_| true).aggregate()
     }
 
     /// Distinct epochs with at least one counts or window frame,
@@ -221,40 +230,35 @@ impl Snapshot {
     /// of the epoch carries it; a single-frame epoch yields its frame's
     /// counts as `0.0 + c`. Empty for an unknown epoch.
     pub fn epoch_aggregate(&self, epoch: u32) -> Bbec {
-        let mut sums = BlockSums::default();
-        for (rec, _) in self
-            .counts
-            .iter()
-            .zip(&self.counts_epochs)
-            .filter(|(_, e)| **e == epoch)
-        {
-            sums.add_bbec(&rec.bbec);
-        }
-        sums.round()
+        self.partials(|e| e == epoch).epoch_aggregate(epoch)
     }
 
-    /// Per-epoch frame/sample accounting, ascending by epoch.
+    /// Per-epoch frame/sample accounting, ascending by epoch; an epoch
+    /// with only window frames counts none.
     pub fn epoch_stats(&self) -> Vec<EpochStats> {
-        let mut stats: Vec<EpochStats> = self
-            .epochs()
+        let partials = self.partials(|_| true);
+        self.epochs()
             .into_iter()
-            .map(|epoch| EpochStats {
-                epoch,
-                counts_frames: 0,
-                ebs_samples: 0,
-                lbr_samples: 0,
-            })
+            .map(|epoch| partials.stats(epoch))
+            .collect()
+    }
+
+    /// The exact partials of the counts frames of the epochs `keep`
+    /// accepts, summed as a store sums them as they arrive.
+    fn partials(&self, keep: impl Fn(u32) -> bool) -> Partials {
+        let mut frames: Vec<(u32, &CountsRecord)> = self
+            .counts_epochs
+            .iter()
+            .copied()
+            .zip(&self.counts)
+            .filter(|(epoch, _)| keep(*epoch))
             .collect();
-        for (rec, epoch) in self.counts.iter().zip(&self.counts_epochs) {
-            let s = stats
-                .iter_mut()
-                .find(|s| s.epoch == *epoch)
-                .expect("epochs() covers every stamp");
-            s.counts_frames += 1;
-            s.ebs_samples += rec.ebs_samples;
-            s.lbr_samples += rec.lbr_samples;
+        frames.sort_by_key(|(epoch, _)| *epoch);
+        let mut sums = RunningSums::default();
+        for (epoch, rec) in frames {
+            sums.add(epoch, rec);
         }
-        stats
+        Partials::gather([sums.partials()])
     }
 
     /// Total `(ebs, lbr)` samples over all counts records.
@@ -295,16 +299,6 @@ impl Snapshot {
     }
 }
 
-/// Each epoch's exact per-block sums over counts frames and their epoch
-/// stamps, ascending by epoch.
-fn epoch_sums(counts: &[CountsRecord], epochs: &[u32]) -> BTreeMap<u32, BlockSums> {
-    let mut sums: BTreeMap<u32, BlockSums> = BTreeMap::new();
-    for (rec, epoch) in counts.iter().zip(epochs) {
-        sums.entry(*epoch).or_default().add_bbec(&rec.bbec);
-    }
-    sums
-}
-
 /// One epoch's exact partial: its accounting and each block's sum as an
 /// expansion. What a shard writer answers a read query with, one per
 /// epoch that has counts frames.
@@ -316,9 +310,8 @@ pub(crate) struct EpochPartial {
     pub sums: Expansions,
 }
 
-/// Per-shard epoch partials combined: the aggregates a read query
-/// answers from, the same definition as [`Snapshot::aggregate`] and
-/// [`Snapshot::epoch_aggregate`].
+/// Epoch partials combined, from any number of shards: the aggregates
+/// and accounting of a daemon's read queries and of a [`Snapshot`].
 pub(crate) struct Partials {
     /// Ascending by epoch; each epoch's partials from every shard that
     /// has it.
@@ -337,25 +330,19 @@ impl Partials {
 
     /// Per-epoch accounting summed over shards, ascending by epoch.
     pub(crate) fn epoch_stats(&self) -> Vec<EpochStats> {
-        self.epochs
-            .iter()
-            .map(|(&epoch, parts)| {
-                parts.iter().fold(
-                    EpochStats {
-                        epoch,
-                        counts_frames: 0,
-                        ebs_samples: 0,
-                        lbr_samples: 0,
-                    },
-                    |mut s, p| {
-                        s.counts_frames += p.stats.counts_frames;
-                        s.ebs_samples += p.stats.ebs_samples;
-                        s.lbr_samples += p.stats.lbr_samples;
-                        s
-                    },
-                )
-            })
-            .collect()
+        self.epochs.keys().map(|&epoch| self.stats(epoch)).collect()
+    }
+
+    /// One epoch's accounting summed over shards; no frames for an epoch
+    /// no shard has.
+    fn stats(&self, epoch: u32) -> EpochStats {
+        let parts = self.epochs.get(&epoch).into_iter().flatten();
+        parts.fold(EpochStats::empty(epoch), |mut s, p| {
+            s.counts_frames += p.stats.counts_frames;
+            s.ebs_samples += p.stats.ebs_samples;
+            s.lbr_samples += p.stats.lbr_samples;
+            s
+        })
     }
 
     /// Whether some shard has counts frames in `epoch`.
@@ -401,15 +388,9 @@ impl RunningSums {
         if self.open.as_ref().is_some_and(|(s, _)| s.epoch != epoch) {
             self.seal();
         }
-        let (stats, sums) = self.open.get_or_insert_with(|| {
-            let stats = EpochStats {
-                epoch,
-                counts_frames: 0,
-                ebs_samples: 0,
-                lbr_samples: 0,
-            };
-            (stats, BlockSums::default())
-        });
+        let (stats, sums) = self
+            .open
+            .get_or_insert_with(|| (EpochStats::empty(epoch), BlockSums::default()));
         stats.counts_frames += 1;
         stats.ebs_samples += rec.ebs_samples;
         stats.lbr_samples += rec.lbr_samples;
@@ -505,15 +486,14 @@ pub struct ProfileStore {
     /// [`ProfileStore::commit`] (group commit).
     pending: Vec<u8>,
     identity: Option<StoreIdentity>,
-    counts: Vec<CountsRecord>,
-    counts_epochs: Vec<u32>,
-    /// Each epoch's exact per-block sums over `counts`, kept as frames
-    /// arrive so that reads cost O(blocks), not O(frames).
+    /// Each epoch's exact per-block sums over the counts frames, kept as
+    /// frames arrive so that reads cost O(blocks), not O(frames).
     sums: RunningSums,
-    /// Distinct source ids of `counts`.
+    /// Distinct source ids of the counts frames.
     sources: BTreeSet<u32>,
-    /// Window frames in the log and the pending buffer; the frames
-    /// themselves are not kept.
+    /// Counts and window frames in the log and the pending buffer; the
+    /// frames themselves are not kept.
+    counts_frames: u64,
     window_frames: u64,
     next_seq: HashMap<u32, u32>,
     /// Epoch stamped onto the next counts/window append.
@@ -555,10 +535,9 @@ impl ProfileStore {
             len: HEADER_LEN as u64,
             pending: Vec::new(),
             identity: None,
-            counts: Vec::new(),
-            counts_epochs: Vec::new(),
             sums: RunningSums::default(),
             sources: BTreeSet::new(),
+            counts_frames: 0,
             window_frames: 0,
             next_seq: HashMap::new(),
             current_epoch: 0,
@@ -661,7 +640,8 @@ impl ProfileStore {
     }
 
     /// Apply a replayed frame to the in-memory state: identity, counts
-    /// and sequence numbers, epoch; a window frame is only counted.
+    /// and sequence numbers, epoch. Window frames never get here: the
+    /// replay counts them without decoding them.
     fn apply(&mut self, frame: Frame) -> Result<(), StoreError> {
         match frame {
             Frame::Identity(id) => match &self.identity {
@@ -675,9 +655,9 @@ impl ProfileStore {
                     .ok_or(StoreError::SequenceOverflow(rec.source))?;
                 let next = self.next_seq.entry(rec.source).or_insert(0);
                 *next = (*next).max(follower);
-                self.keep_counts(self.current_epoch, rec);
+                self.keep_counts(self.current_epoch, &rec);
             }
-            Frame::Window(_) => self.window_frames += 1,
+            Frame::Window(_) => {}
             Frame::Epoch(epoch) => {
                 // Markers must ascend; a regressing marker is treated as
                 // corruption by the replay loop (identity-mismatch
@@ -703,8 +683,8 @@ impl ProfileStore {
     /// fsynced**: a host crash can lose recent frames, which reappear as
     /// a clean or torn tail that [`ProfileStore::open`] recovers from
     /// ([`ProfileStore::compact`] is the fsync point). On failure the
-    /// pending bytes are kept so a retry is possible, but the in-memory
-    /// counts and window tally already include the deferred frames, so
+    /// pending bytes are kept so a retry is possible, but the running
+    /// sums and frame tallies already include the deferred frames, so
     /// callers that cannot retry should treat the store as poisoned.
     ///
     /// # Errors
@@ -788,9 +768,9 @@ impl ProfileStore {
     /// [`ProfileStore::append_counts`] without the write: the frame is
     /// buffered until the next [`ProfileStore::commit`] (or any
     /// non-deferred append), so a writer can batch many appends into one
-    /// file write. The assigned `seq` and the in-memory counts (and thus
-    /// [`ProfileStore::counts`] and every aggregate) reflect the frame
-    /// immediately.
+    /// file write. The assigned `seq`, the running sums (and thus every
+    /// aggregate), [`ProfileStore::counts_frames`] and
+    /// [`ProfileStore::snapshot`] reflect the frame immediately.
     ///
     /// # Errors
     ///
@@ -835,18 +815,17 @@ impl ProfileStore {
             lbr_samples,
             bbec,
         };
-        self.buffer_frame(&Frame::Counts(rec.clone()));
-        self.keep_counts(epoch, rec);
+        self.keep_counts(epoch, &rec);
+        self.buffer_frame(&Frame::Counts(rec));
         Ok(seq)
     }
 
-    /// Hold a counts frame of `epoch` in memory and add it to the
-    /// running sums.
-    fn keep_counts(&mut self, epoch: u32, rec: CountsRecord) {
-        self.sums.add(epoch, &rec);
+    /// Account for a counts frame of `epoch`: add it to the running sums,
+    /// note its source and count it. The frame itself stays in the log.
+    fn keep_counts(&mut self, epoch: u32, rec: &CountsRecord) {
+        self.sums.add(epoch, rec);
         self.sources.insert(rec.source);
-        self.counts.push(rec);
-        self.counts_epochs.push(epoch);
+        self.counts_frames += 1;
     }
 
     /// Buffer the current epoch's boundary marker if the log does not
@@ -889,9 +868,9 @@ impl ProfileStore {
         Ok(())
     }
 
-    /// Counts frames in log order.
-    pub fn counts(&self) -> &[CountsRecord] {
-        &self.counts
+    /// Number of counts frames, committed or pending.
+    pub fn counts_frames(&self) -> u64 {
+        self.counts_frames
     }
 
     /// Number of window timeline frames, committed or pending.
@@ -935,8 +914,8 @@ impl ProfileStore {
         Ok(self.current_epoch)
     }
 
-    /// An immutable view of the current contents, windows read back from
-    /// the log (see [`ProfileStore::try_snapshot`]).
+    /// An immutable view of the current contents, read back from the log
+    /// (see [`ProfileStore::try_snapshot`]).
     ///
     /// # Panics
     ///
@@ -947,47 +926,62 @@ impl ProfileStore {
             .unwrap_or_else(|e| panic!("reading {} back: {e}", self.path.display()))
     }
 
-    /// An immutable view of the current contents. Counts come from
-    /// memory; window frames are read back from the log — the committed
-    /// file through positional reads that leave the append cursor alone,
-    /// then the pending buffer — so the cost is one pass over the log.
+    /// An immutable view of the current contents. Counts and window
+    /// frames are read back from the log — the committed file through
+    /// positional reads that leave the append cursor alone, then the
+    /// pending buffer — so the cost is one pass over the log.
     ///
     /// # Errors
     ///
     /// I/O errors reading the log, including a log that no longer reads
     /// back as written.
     pub fn try_snapshot(&self) -> Result<Snapshot, StoreError> {
-        let (mut windows, mut window_epochs) = (Vec::new(), Vec::new());
-        self.for_each_window(|bytes, epoch| match read_frame(bytes) {
-            FrameOutcome::Frame {
-                frame: Some(Frame::Window(w)),
-                ..
-            } => {
-                windows.push(w);
-                window_epochs.push(epoch);
-                Ok(())
-            }
-            _ => Err(log_changed()),
-        })?;
-        Ok(Snapshot {
+        let mut snap = Snapshot {
             identity: self.identity.clone(),
-            counts: self.counts.clone(),
-            windows,
-            counts_epochs: self.counts_epochs.clone(),
-            window_epochs,
-        })
+            counts: Vec::new(),
+            windows: Vec::new(),
+            counts_epochs: Vec::new(),
+            window_epochs: Vec::new(),
+        };
+        self.for_each_frame(|bytes, epoch| {
+            match read_frame(bytes) {
+                FrameOutcome::Frame {
+                    frame: Some(Frame::Counts(c)),
+                    ..
+                } => {
+                    snap.counts.push(c);
+                    snap.counts_epochs.push(epoch);
+                }
+                FrameOutcome::Frame {
+                    frame: Some(Frame::Window(w)),
+                    ..
+                } => {
+                    snap.windows.push(w);
+                    snap.window_epochs.push(epoch);
+                }
+                _ => return Err(log_changed()),
+            }
+            Ok(())
+        })?;
+        if snap.counts.len() as u64 != self.counts_frames
+            || snap.windows.len() as u64 != self.window_frames
+        {
+            return Err(log_changed());
+        }
+        Ok(snap)
     }
 
-    /// Visit every window frame in log order — the committed file, then
-    /// the pending buffer — with the epoch it belongs to. `visit` gets
-    /// the frame's bytes, checksum not yet checked.
-    fn for_each_window(
+    /// Visit every counts and window frame in log order — the committed
+    /// file, then the pending buffer — with the epoch it belongs to, as
+    /// the epoch frames on the way say. `visit` gets the frame's bytes,
+    /// checksum not yet checked.
+    fn for_each_frame(
         &self,
         mut visit: impl FnMut(&[u8], u32) -> Result<(), StoreError>,
     ) -> Result<(), StoreError> {
         let mut epoch = 0;
         let mut step = |frame: &[u8]| match frame[0] {
-            T_WINDOW => visit(frame, epoch),
+            T_COUNTS | T_WINDOW => visit(frame, epoch),
             T_EPOCH => match read_frame(frame) {
                 FrameOutcome::Frame {
                     frame: Some(Frame::Epoch(e)),
@@ -1061,7 +1055,7 @@ impl ProfileStore {
     /// // correctly rounded exact sum over the union — whatever the order
     /// // of the adds, so merging the other way round gives the same bits.
     /// a.merge_from(&b.snapshot())?;
-    /// assert_eq!(a.counts().len(), 3);
+    /// assert_eq!(a.counts_frames(), 3);
     /// assert_eq!(a.aggregate().get(0x1000), 0.6);
     /// assert_eq!(b.aggregate().get(0x1000), 0.5);
     /// # std::fs::remove_dir_all(&dir)?;
@@ -1156,33 +1150,12 @@ impl ProfileStore {
             .checked_add(1)
             .ok_or(StoreError::SequenceOverflow(COMPACTED_SOURCE))?;
 
-        // Each epoch's term frames, seqs assigned in epoch order.
-        let mut next_fold = self.next_seq.get(&COMPACTED_SOURCE).copied().unwrap_or(0);
-        let mut folds: Vec<(u32, CountsRecord)> = Vec::new();
-        for partial in self.partials() {
-            // An epoch whose frames carry no blocks still keeps one frame,
-            // and with it the epoch and its sample totals.
-            for i in 0..partial.sums.depth().max(1) {
-                let seq = next_fold;
-                next_fold = seq
-                    .checked_add(1)
-                    .ok_or(StoreError::SequenceOverflow(COMPACTED_SOURCE))?;
-                let (ebs_samples, lbr_samples) = match i {
-                    0 => (partial.stats.ebs_samples, partial.stats.lbr_samples),
-                    _ => (0, 0),
-                };
-                folds.push((
-                    partial.stats.epoch,
-                    CountsRecord {
-                        source: COMPACTED_SOURCE,
-                        seq,
-                        ebs_samples,
-                        lbr_samples,
-                        bbec: partial.sums.term(i),
-                    },
-                ));
-            }
-        }
+        let partials = self.partials();
+        let first_fold = self.next_seq.get(&COMPACTED_SOURCE).copied().unwrap_or(0);
+        let next_fold = u32::try_from(partials.iter().map(|p| terms(p)).sum::<usize>())
+            .ok()
+            .and_then(|n| first_fold.checked_add(n))
+            .ok_or(StoreError::SequenceOverflow(COMPACTED_SOURCE))?;
 
         let tmp_path = self.path.with_extension("tmp");
         let mut out = BufWriter::new(File::create(&tmp_path)?);
@@ -1200,18 +1173,21 @@ impl ProfileStore {
             }
             out.write_all(frame)
         };
-        let mut folds_left = folds.iter().peekable();
-        self.for_each_window(|frame, epoch| {
+        let mut folds = term_frames(&partials, first_fold).peekable();
+        self.for_each_frame(|frame, epoch| {
+            if frame[0] != T_WINDOW {
+                return Ok(());
+            }
             if !crc_holds(frame) {
                 return Err(log_changed());
             }
-            while let Some((e, fold)) = folds_left.next_if(|(e, _)| *e <= epoch) {
-                write(&mut out, *e, &encode_frame(&Frame::Counts(fold.clone())))?;
+            while let Some((e, fold)) = folds.next_if(|(e, _)| *e <= epoch) {
+                write(&mut out, e, &encode_frame(&Frame::Counts(fold)))?;
             }
             Ok(write(&mut out, epoch, frame)?)
         })?;
-        for (e, fold) in folds_left {
-            write(&mut out, *e, &encode_frame(&Frame::Counts(fold.clone())))?;
+        for (e, fold) in folds {
+            write(&mut out, e, &encode_frame(&Frame::Counts(fold)))?;
         }
         write(&mut out, sealed, &[])?;
         let tmp = out.into_inner().map_err(|e| e.into_error())?;
@@ -1232,19 +1208,53 @@ impl ProfileStore {
         // buffered bytes must not be appended again.
         self.pending.clear();
         self.len = len;
-        // Hold the compacted frames as a replay of the new log would.
-        self.counts.clear();
-        self.counts_epochs.clear();
+        // Account for the compacted frames as a replay of the new log
+        // would.
         self.sums = RunningSums::default();
         self.sources.clear();
-        for (epoch, fold) in folds {
-            self.keep_counts(epoch, fold);
+        self.counts_frames = 0;
+        for (epoch, fold) in term_frames(&partials, first_fold) {
+            self.keep_counts(epoch, &fold);
         }
         self.next_seq.insert(COMPACTED_SOURCE, next_fold);
         self.marked_epoch = marked;
         self.current_epoch = sealed;
         Ok(())
     }
+}
+
+/// How many frames [`ProfileStore::compact`] writes for an epoch: one
+/// per term of its longest expansion, and one for an epoch whose frames
+/// carry no blocks, which keeps the epoch and its sample totals.
+fn terms(partial: &EpochPartial) -> usize {
+    partial.sums.depth().max(1)
+}
+
+/// The frames [`ProfileStore::compact`] writes for `partials`, with their
+/// epochs: frame *i* of an epoch holds term *i* of each block's
+/// expansion, and its first frame the epoch's sample totals. Sequence
+/// numbers count up from `first_seq`.
+fn term_frames(
+    partials: &[Arc<EpochPartial>],
+    first_seq: u32,
+) -> impl Iterator<Item = (u32, CountsRecord)> + '_ {
+    let frames = partials
+        .iter()
+        .flat_map(|p| (0..terms(p)).map(move |i| (p, i)));
+    frames.zip(first_seq..).map(|((p, i), seq)| {
+        let (ebs_samples, lbr_samples) = match i {
+            0 => (p.stats.ebs_samples, p.stats.lbr_samples),
+            _ => (0, 0),
+        };
+        let rec = CountsRecord {
+            source: COMPACTED_SOURCE,
+            seq,
+            ebs_samples,
+            lbr_samples,
+            bbec: p.sums.term(i),
+        };
+        (p.stats.epoch, rec)
+    })
 }
 
 impl StoreIdentity {
@@ -1328,7 +1338,7 @@ mod tests {
         assert!(s.open_report().existed);
         assert_eq!(s.open_report().truncated_bytes, 0);
         assert_eq!(s.identity(), Some(&identity()));
-        assert_eq!(s.counts().len(), 2);
+        assert_eq!(s.counts_frames(), 2);
         assert_eq!(s.windows().len(), 1);
         assert_eq!(s.aggregate().get(0x400000), 3.0);
         assert_eq!(s.snapshot().total_samples(), (14, 7));
@@ -1349,14 +1359,14 @@ mod tests {
         std::fs::write(&path, &full[..full.len() - 7]).unwrap();
         let mut s = ProfileStore::open(&path).unwrap();
         assert!(s.open_report().truncated_bytes > 0);
-        assert_eq!(s.counts().len(), 1, "only the intact frame survives");
+        assert_eq!(s.counts_frames(), 1, "only the intact frame survives");
         // The log is consistent again: appends work and a further reopen
         // is clean.
         s.append_counts(2, 1, 1, bbec(&[(0x400010, 4.0)])).unwrap();
         drop(s);
         let s = ProfileStore::open(&path).unwrap();
         assert_eq!(s.open_report().truncated_bytes, 0);
-        assert_eq!(s.counts().len(), 2);
+        assert_eq!(s.counts_frames(), 2);
         assert_eq!(s.aggregate().get(0x400010), 4.0);
     }
 
@@ -1403,7 +1413,7 @@ mod tests {
         b.append_counts(2, 2, 0, bbec(&[(0x400000, 2.0)])).unwrap();
         b.append_counts(2, 3, 0, bbec(&[(0x400020, 8.0)])).unwrap();
         a.merge_from(&b.snapshot()).unwrap();
-        assert_eq!(a.counts().len(), 3);
+        assert_eq!(a.counts_frames(), 3);
         assert_eq!(a.aggregate().get(0x400000), 3.0);
         assert_eq!(a.snapshot().sources(), vec![1, 2]);
 
@@ -1433,8 +1443,8 @@ mod tests {
         let before = s.aggregate();
         let bytes_before = s.file_bytes();
         s.compact().unwrap();
-        assert_eq!(s.counts().len(), 1);
-        assert_eq!(s.counts()[0].source, COMPACTED_SOURCE);
+        assert_eq!(s.counts_frames(), 1);
+        assert_eq!(s.snapshot().counts[0].source, COMPACTED_SOURCE);
         assert!(s.file_bytes() < bytes_before);
         let after = s.aggregate();
         for (addr, count) in before.iter() {
@@ -1443,9 +1453,9 @@ mod tests {
         // Reopen sees the compacted log; appends still work.
         drop(s);
         let mut s = ProfileStore::open(&path).unwrap();
-        assert_eq!(s.counts().len(), 1);
+        assert_eq!(s.counts_frames(), 1);
         s.append_counts(5, 1, 1, bbec(&[(0x400000, 1.0)])).unwrap();
-        assert_eq!(s.counts().len(), 2);
+        assert_eq!(s.counts_frames(), 2);
     }
 
     #[test]
@@ -1472,7 +1482,7 @@ mod tests {
         assert_eq!((seq0, seq1), (0, 1));
         // The counts see the frames immediately; the file only after
         // commit, as one write.
-        assert_eq!(s.counts().len(), 2);
+        assert_eq!(s.counts_frames(), 2);
         assert_eq!(s.file_bytes(), base);
         assert!(s.pending_bytes() > 0);
         s.commit().unwrap();
@@ -1481,7 +1491,7 @@ mod tests {
         drop(s);
         let s = ProfileStore::open(&path).unwrap();
         assert_eq!(s.open_report().truncated_bytes, 0);
-        assert_eq!(s.counts().len(), 2);
+        assert_eq!(s.counts_frames(), 2);
         assert_eq!(s.windows().len(), 1);
         assert_eq!(s.aggregate().get(0x400000), 1.0);
     }
@@ -1496,7 +1506,7 @@ mod tests {
         drop(s); // no commit: the deferred frame is lost, the log stays clean
         let s = ProfileStore::open(&path).unwrap();
         assert_eq!(s.open_report().truncated_bytes, 0);
-        assert_eq!(s.counts().len(), 1);
+        assert_eq!(s.counts_frames(), 1);
     }
 
     #[test]
@@ -1512,7 +1522,7 @@ mod tests {
         drop(s);
         let s = ProfileStore::open(&path).unwrap();
         assert_eq!(s.open_report().truncated_bytes, 0);
-        assert_eq!(s.counts().len(), 1, "one compacted frame");
+        assert_eq!(s.counts_frames(), 1, "one compacted frame");
         assert_eq!(s.aggregate().get(0x400000), 1.0);
         assert_eq!(s.aggregate().get(0x400010), 2.0);
     }
@@ -1653,7 +1663,7 @@ mod tests {
                 "source id 4294967295 is reserved for compacted records"
             );
         }
-        assert!(s.counts().is_empty());
+        assert_eq!(s.counts_frames(), 0);
         assert_eq!(s.pending_bytes(), 0);
     }
 
@@ -1786,7 +1796,7 @@ mod tests {
         let snap_before = s.snapshot();
         let global_before = snap_before.aggregate();
         s.compact().unwrap();
-        assert_eq!(s.counts().len(), 2, "one compacted frame per epoch");
+        assert_eq!(s.counts_frames(), 2, "one compacted frame per epoch");
         assert_eq!(s.current_epoch(), 2, "compaction seals the tier");
         let snap_after = s.snapshot();
         assert_eq!(snap_after.epochs(), vec![0, 1]);
@@ -1819,7 +1829,7 @@ mod tests {
         s.append_counts(7, 1, 1, bbec(&[(0x400000, 0.25)])).unwrap();
         assert_eq!(s.snapshot().counts_epochs.last(), Some(&2));
         s.compact().unwrap();
-        assert_eq!(s.counts().len(), 3);
+        assert_eq!(s.counts_frames(), 3);
         assert_eq!(s.snapshot().epochs(), vec![0, 1, 2]);
         for epoch in [0, 1] {
             let before = snap_before.epoch_aggregate(epoch);

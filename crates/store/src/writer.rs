@@ -188,7 +188,7 @@ pub(crate) fn writer_loop(
                 WriterMsg::Stats(reply) => {
                     commit(&mut store, &mut uncommitted, &metrics, &mut dirty);
                     reply.send(ShardStats {
-                        counts_frames: store.counts().len() as u64,
+                        counts_frames: store.counts_frames(),
                         window_frames: store.window_frames(),
                         bytes: store.file_bytes(),
                         sources: store.sources(),

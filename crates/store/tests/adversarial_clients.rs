@@ -307,8 +307,9 @@ fn shutdown_drains_inflight_work_and_force_drops_stalled_streams() {
     let mut counts = 0;
     for part in 0..2 {
         let store = ProfileStore::open(dir.join(format!("part-{part}.hbbp"))).expect("reopen");
-        counts += store.counts().len();
-        assert!(store.counts().iter().all(|c| c.source == 0));
+        let snap = store.snapshot();
+        counts += snap.counts.len();
+        assert!(snap.counts.iter().all(|c| c.source == 0));
     }
     assert_eq!(counts, 1, "exactly the completed stream persisted");
     let _ = std::fs::remove_dir_all(&dir);

@@ -127,7 +127,7 @@ proptest! {
         // compacted frames, and nothing else remains.
         let compacted: BTreeSet<u32> = after.counts_epochs.iter().copied().collect();
         prop_assert_eq!(compacted, want_epochs.keys().copied().collect::<BTreeSet<u32>>());
-        prop_assert!(store.counts().iter().all(|r| r.source == COMPACTED_SOURCE));
+        prop_assert!(after.counts.iter().all(|r| r.source == COMPACTED_SOURCE));
         // Compaction seals: if anything was stored, the live epoch is new.
         if !want_epochs.is_empty() {
             prop_assert!(

@@ -198,7 +198,7 @@ fn daemon_loopback_four_concurrent_clients_bit_identical_aggregate() {
     // tail simulated on one of them) recovers every complete frame.
     let part0 = dir.join("part-0.hbbp");
     let before = ProfileStore::open(&part0).unwrap();
-    let frames_before = before.counts().len() + before.windows().len();
+    let frames_before = before.snapshot().counts.len() + before.windows().len();
     assert!(frames_before > 0);
     drop(before);
     // The compacted log ends in a 13-byte EPOCH seal marker; tear through
@@ -211,7 +211,7 @@ fn daemon_loopback_four_concurrent_clients_bit_identical_aggregate() {
     let recovered = ProfileStore::open(&part0).unwrap();
     assert!(recovered.open_report().truncated_bytes > 0);
     assert_eq!(
-        recovered.counts().len() + recovered.windows().len(),
+        recovered.snapshot().counts.len() + recovered.windows().len(),
         frames_before - 1,
         "exactly the torn frame is lost"
     );

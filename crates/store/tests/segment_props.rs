@@ -3,10 +3,11 @@
 //! happens to the tail of a store file — truncation at any byte, a bit
 //! flip anywhere after the header, garbage appended — reopening recovers
 //! exactly the intact frame prefix, and the recovered file accepts
-//! further appends.
+//! further appends. Throughout, the frames a store reads back from its
+//! log agree with the tallies and running sums it keeps in memory.
 
 use hbbp_program::{Bbec, MnemonicMix, Ring};
-use hbbp_store::{CountsRecord, ModuleSpan, ProfileStore, StoreIdentity, WindowRecord};
+use hbbp_store::{CountsRecord, ModuleSpan, ProfileStore, Snapshot, StoreIdentity, WindowRecord};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -93,9 +94,8 @@ fn build_store(
             .append_window(window_from(*source, *index, mix))
             .expect("append window");
     }
-    let c = store.counts().to_vec();
-    let w = store.windows().to_vec();
-    (path, c, w)
+    let snap = store.snapshot();
+    (path, snap.counts, snap.windows)
 }
 
 fn arb_counts() -> impl Strategy<Value = Vec<CountsSpec>> {
@@ -119,6 +119,23 @@ fn arb_windows() -> impl Strategy<Value = Vec<WindowSpec>> {
     )
 }
 
+/// The counts frames a store reads back from its log agree with what it
+/// keeps in memory: the frame tally, and the running sums' aggregates
+/// and accounting, bit for bit.
+fn check_read_back(store: &ProfileStore) -> Snapshot {
+    let snap = store.snapshot();
+    assert_eq!(store.counts_frames(), snap.counts.len() as u64);
+    assert_eq!(store.window_frames(), snap.windows.len() as u64);
+    let bits =
+        |bbec: &Bbec| -> Vec<(u64, u64)> { bbec.iter().map(|(a, c)| (a, c.to_bits())).collect() };
+    assert_eq!(bits(&store.aggregate()), bits(&snap.aggregate()));
+    let (ebs, lbr) = snap.total_samples();
+    let stats = snap.epoch_stats();
+    assert_eq!(ebs, stats.iter().map(|s| s.ebs_samples).sum::<u64>());
+    assert_eq!(lbr, stats.iter().map(|s| s.lbr_samples).sum::<u64>());
+    snap
+}
+
 /// Reopen after damage and check the recovered contents are a prefix of
 /// the originals (in log order) and that the store still works.
 fn check_recovery(
@@ -127,22 +144,22 @@ fn check_recovery(
     original_windows: &[WindowRecord],
 ) {
     let mut store = ProfileStore::open(path).expect("recovery never errors on damage");
-    let got_counts = store.counts();
-    assert!(got_counts.len() <= original_counts.len());
-    assert_eq!(got_counts, &original_counts[..got_counts.len()]);
-    let got_windows = store.windows();
-    assert!(got_windows.len() <= original_windows.len());
-    assert_eq!(got_windows, &original_windows[..got_windows.len()]);
+    let got = check_read_back(&store);
+    assert!(got.counts.len() <= original_counts.len());
+    assert_eq!(got.counts, &original_counts[..got.counts.len()]);
+    assert!(got.windows.len() <= original_windows.len());
+    assert_eq!(got.windows, &original_windows[..got.windows.len()]);
     // The recovered log accepts appends and a further reopen is clean.
     if store.identity().is_some() {
         store
             .append_counts(99, 1, 1, [(0x400000u64, 1.0)].into_iter().collect())
             .expect("append after recovery");
-        let n = store.counts().len();
+        let appended = check_read_back(&store);
+        assert_eq!(appended.counts.len(), got.counts.len() + 1);
         drop(store);
         let back = ProfileStore::open(path).expect("clean reopen");
         assert_eq!(back.open_report().truncated_bytes, 0);
-        assert_eq!(back.counts().len(), n);
+        assert_eq!(check_read_back(&back), appended);
     }
 }
 
@@ -158,14 +175,52 @@ proptest! {
         let (path, want_counts, want_windows) = build_store(&counts, &windows);
         let store = ProfileStore::open(&path).expect("reopen");
         prop_assert_eq!(store.open_report().truncated_bytes, 0);
-        prop_assert_eq!(store.counts(), &want_counts[..]);
-        prop_assert_eq!(store.windows(), &want_windows[..]);
+        let snap = check_read_back(&store);
+        prop_assert_eq!(&snap.counts, &want_counts);
+        prop_assert_eq!(&snap.windows, &want_windows);
         // Bit-exactness of every count.
-        for (got, want) in store.counts().iter().zip(&want_counts) {
+        for (got, want) in snap.counts.iter().zip(&want_counts) {
             for (addr, count) in want.bbec.iter() {
                 prop_assert_eq!(got.bbec.get(addr).to_bits(), count.to_bits());
             }
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Deferred frames read back from the pending buffer as they later
+    /// do from the file: the snapshot is the same before the commit,
+    /// after it and after a reopen.
+    #[test]
+    fn pending_frames_read_back_like_committed_ones(
+        counts in arb_counts(),
+        windows in arb_windows(),
+        committed in any::<usize>(),
+    ) {
+        let path = tmp();
+        let _ = std::fs::remove_file(&path);
+        let mut store = ProfileStore::open_with_identity(&path, identity()).expect("create");
+        let committed = committed % (counts.len() + 1);
+        for (i, (source, entries)) in counts.iter().enumerate() {
+            let (source, ebs, lbr, bbec) = counts_from(*source, entries);
+            if i < committed {
+                store.append_counts(source, ebs, lbr, bbec).expect("append");
+            } else {
+                store.append_counts_deferred(source, ebs, lbr, bbec).expect("defer");
+            }
+        }
+        for (source, index, mix) in &windows {
+            store
+                .append_window_deferred(window_from(*source, *index, mix))
+                .expect("defer window");
+        }
+        let pending = check_read_back(&store);
+        prop_assert_eq!(pending.counts.len(), counts.len());
+        prop_assert_eq!(pending.windows.len(), windows.len());
+        store.commit().expect("commit");
+        prop_assert_eq!(&check_read_back(&store), &pending);
+        drop(store);
+        let back = ProfileStore::open(&path).expect("reopen");
+        prop_assert_eq!(&check_read_back(&back), &pending);
         std::fs::remove_file(&path).ok();
     }
 
@@ -217,7 +272,7 @@ proptest! {
         bytes.extend_from_slice(&garbage);
         std::fs::write(&path, &bytes).expect("append garbage");
         let store = ProfileStore::open(&path).expect("recover");
-        prop_assert_eq!(store.counts(), &want_counts[..]);
+        prop_assert_eq!(&check_read_back(&store).counts, &want_counts);
         // Either the garbage happened to decode as frames (possible only
         // if it forms a checksum-valid frame — astronomically unlikely
         // but legal) or it was truncated.
