@@ -208,7 +208,7 @@ fn bench_store(c: &mut Criterion, case: &Case, quick: bool) {
             let mut a =
                 ProfileStore::open_with_identity(&path, case.identity.clone()).expect("open");
             a.merge_from(&snapshot_b).expect("merge");
-            let total = black_box(a.aggregate().total());
+            let total = black_box(a.partials().aggregate().total());
             let _ = std::fs::remove_file(&path);
             total
         });

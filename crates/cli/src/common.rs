@@ -6,7 +6,7 @@ use crate::args::{invalid, ArgStream, CliError};
 use crate::registry;
 use hbbp_core::{Analyzer, HybridRule, SamplingPeriods, Window};
 use hbbp_program::ImageView;
-use hbbp_store::Snapshot;
+use hbbp_store::{Partials, ProfileStore, StoreError, StoreIdentity};
 use hbbp_workloads::{Scale, Workload};
 use std::path::Path;
 
@@ -139,25 +139,59 @@ pub fn analyzer_for(workload: &Workload) -> Result<Analyzer, CliError> {
     .map_err(|e| CliError::Failed(format!("static discovery failed: {e:?}")))
 }
 
-/// Pick the epoch of `snapshot` (read from the store at `store`) that a
-/// command folds: `requested`, or the latest when `None`. Only epochs
-/// that hold counts frames qualify — the set the daemon's `EPOCHS` op
-/// lists. An epoch holding only window frames (a stream that flushed
-/// windows, then failed) folds to an empty profile, and an empty mix
-/// hides any drift, so naming one is an error.
+/// Open the store file at `path` for reading. A reader never creates a
+/// store: a missing path is refused before the store is opened.
+pub fn open_store(path: &Path) -> Result<ProfileStore, CliError> {
+    let opened = match std::fs::metadata(path) {
+        Ok(_) => ProfileStore::open(path),
+        Err(e) => Err(StoreError::Io(e)),
+    };
+    opened.map_err(|e| CliError::Failed(format!("cannot open {}: {e}", path.display())))
+}
+
+/// Refuse the store read from `path` unless its identity is the one
+/// workload `w` describes; a store with no identity is refused too.
+pub fn check_identity(
+    store: &ProfileStore,
+    path: &Path,
+    w: &Workload,
+    analyzer: &Analyzer,
+) -> Result<(), CliError> {
+    if store.identity() != Some(&StoreIdentity::of_workload(w, analyzer.map())) {
+        return Err(CliError::Failed(format!(
+            "store {} was not recorded from workload `{}` — wrong --workload or --scale?",
+            path.display(),
+            w.name()
+        )));
+    }
+    Ok(())
+}
+
+/// Total `(ebs, lbr)` samples over every epoch's counts frames.
+pub fn sample_totals(partials: &Partials) -> (u64, u64) {
+    partials
+        .epoch_stats()
+        .iter()
+        .fold((0, 0), |(e, l), s| (e + s.ebs_samples, l + s.lbr_samples))
+}
+
+/// Pick the epoch of `partials` (the running sums of the store at
+/// `store`) that a command folds: `requested`, or the latest when
+/// `None`. Only epochs that hold counts frames qualify — the set the
+/// daemon's `EPOCHS` op lists. An epoch holding only window frames (a
+/// stream that flushed windows, then failed) folds to an empty profile,
+/// and an empty mix hides any drift, so naming one is an error.
 ///
 /// # Errors
 ///
 /// [`CliError::Failed`] when no epoch holds counts, or when `requested`
 /// is not one of the epochs that do (the message lists them).
 pub fn counts_epoch(
-    snapshot: &Snapshot,
+    partials: &Partials,
     requested: Option<u32>,
     store: &Path,
 ) -> Result<u32, CliError> {
-    let mut epochs = snapshot.counts_epochs.clone();
-    epochs.sort_unstable();
-    epochs.dedup();
+    let epochs: Vec<u32> = partials.epoch_stats().iter().map(|s| s.epoch).collect();
     let Some(&latest) = epochs.last() else {
         return Err(CliError::Failed(format!(
             "store {} holds no counts frames in any epoch",
@@ -165,7 +199,7 @@ pub fn counts_epoch(
         )));
     };
     let epoch = requested.unwrap_or(latest);
-    if !epochs.contains(&epoch) {
+    if !partials.has_epoch(epoch) {
         return Err(CliError::Failed(format!(
             "store {} has no epoch {epoch} holding counts (epochs holding counts: {epochs:?})",
             store.display()

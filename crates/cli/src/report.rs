@@ -3,11 +3,13 @@
 
 use crate::analyze::AnalyzeOptions;
 use crate::args::{parse_all, CliError};
-use crate::common::{analyzer_for, parse_rule, parse_window, WorkloadOptions};
+use crate::common::{
+    analyzer_for, check_identity, open_store, parse_rule, parse_window, sample_totals,
+    WorkloadOptions,
+};
 use crate::registry;
 use crate::render::{self, Format, TimelineRow};
 use hbbp_core::{HybridRule, Window};
-use hbbp_store::ProfileStore;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -137,58 +139,46 @@ impl ReportOptions {
                 opts.run()
             }
             ReportSource::Store(path) => {
-                let store = ProfileStore::open(path).map_err(|e| {
-                    CliError::Failed(format!("cannot open {}: {e}", path.display()))
-                })?;
-                let snap = store.try_snapshot().map_err(|e| {
-                    CliError::Failed(format!("cannot read {}: {e}", path.display()))
-                })?;
+                let store = open_store(path)?;
                 if self.timeline {
-                    let rows: Vec<TimelineRow> = snap
-                        .windows
-                        .iter()
+                    let windows = store.windows().map_err(|e| {
+                        CliError::Failed(format!("cannot read {}: {e}", path.display()))
+                    })?;
+                    let rows: Vec<TimelineRow> = windows
+                        .into_iter()
                         .map(|w| TimelineRow {
                             index: u64::from(w.index),
                             start_cycles: w.start_cycles,
                             end_cycles: w.end_cycles,
                             ebs_samples: w.ebs_samples,
                             lbr_samples: w.lbr_samples,
-                            mix: w.mix.clone(),
+                            mix: w.mix,
                         })
                         .collect();
                     return Ok(render::render_timeline(&rows, self.format));
                 }
                 let w = self.workload.build()?;
                 let analyzer = analyzer_for(&w)?;
-                if let Some(id) = &snap.identity {
-                    if id.program != w.program().name() {
-                        return Err(CliError::Failed(format!(
-                            "store identity is `{}` but --workload resolved `{}` — \
-                             pass the matching --workload/--scale",
-                            id.program,
-                            w.program().name()
-                        )));
-                    }
-                }
-                let mix = analyzer.mix(&snap.aggregate());
-                let (ebs, lbr) = snap.total_samples();
+                check_identity(&store, path, &w, &analyzer)?;
+                let partials = store.partials();
+                let mix = analyzer.mix(&partials.aggregate());
+                let (ebs, lbr) = sample_totals(&partials);
+                let frames = store.counts_frames();
                 Ok(match self.format {
                     Format::Text => {
                         let mut out = String::new();
                         let _ = writeln!(
                             out,
-                            "aggregate of {} ({} counts frames, {} sources, ebs {ebs} / lbr {lbr} samples)\n",
+                            "aggregate of {} ({frames} counts frames, {} sources, ebs {ebs} / lbr {lbr} samples)\n",
                             path.display(),
-                            snap.counts.len(),
-                            snap.sources().len()
+                            store.sources().len()
                         );
                         out.push_str(&render::render_mix(&mix, self.top, Format::Text));
                         out
                     }
                     Format::Json => format!(
-                        "{{\"counts_frames\": {}, \"ebs_samples\": {ebs}, \"lbr_samples\": {lbr}, \
+                        "{{\"counts_frames\": {frames}, \"ebs_samples\": {ebs}, \"lbr_samples\": {lbr}, \
                          \"total\": {}, \"mnemonics\": {}}}\n",
-                        snap.counts.len(),
                         render::json_f64(mix.total()),
                         render::mix_json_entries(&mix)
                     ),

@@ -2,6 +2,7 @@
 //! `stats`, `merge`, `compact`.
 
 use crate::args::{parse_all, CliError};
+use crate::common::{open_store, sample_totals};
 use hbbp_store::ProfileStore;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -103,28 +104,18 @@ impl StoreOptions {
 
     /// Execute: returns the human summary.
     pub fn run(&self) -> Result<String, CliError> {
-        let open = |path: &PathBuf| {
-            ProfileStore::open(path)
-                .map_err(|e| CliError::Failed(format!("cannot open {}: {e}", path.display())))
-        };
-        let snapshot = |store: &ProfileStore, path: &PathBuf| {
-            store
-                .try_snapshot()
-                .map_err(|e| CliError::Failed(format!("cannot read {}: {e}", path.display())))
-        };
         let mut out = String::new();
         match &self.action {
             StoreAction::Stats(files) => {
                 for path in files {
-                    let store = open(path)?;
-                    let snap = snapshot(&store, path)?;
-                    let (ebs, lbr) = snap.total_samples();
+                    let store = open_store(path)?;
+                    let (ebs, lbr) = sample_totals(&store.partials());
                     let report = store.open_report();
                     let _ = writeln!(out, "{}", path.display());
                     let _ = writeln!(
                         out,
                         "  identity      {}",
-                        match &snap.identity {
+                        match store.identity() {
                             Some(id) => format!(
                                 "{} ({} blocks, {} modules)",
                                 id.program,
@@ -137,10 +128,10 @@ impl StoreOptions {
                     let _ = writeln!(
                         out,
                         "  counts frames {} ({} sources, ebs {ebs} / lbr {lbr} samples)",
-                        snap.counts.len(),
-                        snap.sources().len()
+                        store.counts_frames(),
+                        store.sources().len()
                     );
-                    let _ = writeln!(out, "  window frames {}", snap.windows.len());
+                    let _ = writeln!(out, "  window frames {}", store.window_frames());
                     let _ = writeln!(out, "  file bytes    {}", store.file_bytes());
                     if report.truncated_bytes > 0 {
                         let _ = writeln!(
@@ -152,10 +143,14 @@ impl StoreOptions {
                 }
             }
             StoreAction::Merge { into, sources } => {
-                let mut dest = open(into)?;
+                // The destination may be created; the sources must exist.
+                let mut dest = ProfileStore::open(into).map_err(|e| {
+                    CliError::Failed(format!("cannot open {}: {e}", into.display()))
+                })?;
                 for path in sources {
-                    let src = open(path)?;
-                    let snap = snapshot(&src, path)?;
+                    let snap = open_store(path)?.try_snapshot().map_err(|e| {
+                        CliError::Failed(format!("cannot read {}: {e}", path.display()))
+                    })?;
                     if dest.identity().is_none() {
                         if let Some(id) = &snap.identity {
                             dest.set_identity(id.clone()).map_err(|e| {
@@ -185,7 +180,7 @@ impl StoreOptions {
             }
             StoreAction::Compact(files) => {
                 for path in files {
-                    let mut store = open(path)?;
+                    let mut store = open_store(path)?;
                     let before = store.file_bytes();
                     store
                         .compact()

@@ -16,14 +16,17 @@
 
 use crate::analyze::stream_recording;
 use crate::args::{parse_all, CliError};
-use crate::common::{analyzer_for, counts_epoch, parse_rule, parse_window_flag, WorkloadOptions};
+use crate::common::{
+    analyzer_for, check_identity, counts_epoch, open_store, parse_rule, parse_window_flag,
+    WorkloadOptions,
+};
 use crate::registry;
 use crate::render::{json_f64, mix_json_entries, Format};
 use hbbp_core::{Analyzer, HybridRule, SamplingPeriods, Window};
 use hbbp_perf::PerfSession;
 use hbbp_program::{ImageView, MnemonicMix};
 use hbbp_sim::Cpu;
-use hbbp_store::{ProfileStore, StoreClient, StoreIdentity};
+use hbbp_store::StoreClient;
 use hbbp_workloads::{calibrate, compile, Calibration, CalibratorConfig, SynthSpec, Workload};
 use std::fmt::Write as _;
 use std::net::SocketAddr;
@@ -290,51 +293,45 @@ impl SynthOptions {
         ))
     }
 
-    fn store_target(&self, path: &PathBuf) -> Result<(MnemonicMix, String), CliError> {
-        let store = ProfileStore::open(path)
-            .map_err(|e| CliError::Failed(format!("cannot open {}: {e}", path.display())))?;
-        let snapshot = store
-            .try_snapshot()
-            .map_err(|e| CliError::Failed(format!("cannot read {}: {e}", path.display())))?;
+    fn store_target(&self, path: &Path) -> Result<(MnemonicMix, String), CliError> {
+        let store = open_store(path)?;
         if let Some(n) = self.window {
             // Window frames carry their mix directly — no analyzer (and
-            // no source workload) needed.
-            let total = snapshot.window_count();
-            let win = snapshot.nth_window(n).ok_or_else(|| {
+            // no source workload) needed. A stable sort gives the
+            // canonical `(source, index)` order, whatever the arrival.
+            let mut windows = store
+                .windows()
+                .map_err(|e| CliError::Failed(format!("cannot read {}: {e}", path.display())))?;
+            windows.sort_by_key(|w| (w.source, w.index));
+            let total = windows.len();
+            let win = windows.into_iter().nth(n).ok_or_else(|| {
                 CliError::Failed(format!(
                     "store {} holds {total} timeline windows; --window {n} is out of range",
                     path.display()
                 ))
             })?;
-            return Ok((
-                win.mix.clone(),
-                format!(
-                    "store {} window {n} (source {} index {})",
-                    path.display(),
-                    win.source,
-                    win.index
-                ),
-            ));
+            let what = format!(
+                "store {} window {n} (source {} index {})",
+                path.display(),
+                win.source,
+                win.index
+            );
+            return Ok((win.mix, what));
         }
         // Aggregate folds are block-count profiles; mapping them to a
         // mnemonic mix needs the source workload's analyzer.
         let w = self.workload.build()?;
         let analyzer = analyzer_for(&w)?;
-        if store.identity() != Some(&StoreIdentity::of_workload(&w, analyzer.map())) {
-            return Err(CliError::Failed(format!(
-                "store {} was not recorded from workload `{}` — wrong --workload or --scale?",
-                path.display(),
-                w.name()
-            )));
-        }
+        check_identity(&store, path, &w, &analyzer)?;
+        let partials = store.partials();
         match self.epoch {
             Some(epoch) => {
-                let epoch = counts_epoch(&snapshot, Some(epoch), path)?;
-                let mix = analyzer.mix(&snapshot.epoch_aggregate(epoch));
+                let epoch = counts_epoch(&partials, Some(epoch), path)?;
+                let mix = analyzer.mix(&partials.epoch_aggregate(epoch));
                 Ok((mix, format!("store {} epoch {epoch}", path.display())))
             }
             None => {
-                let mix = analyzer.mix(&snapshot.aggregate());
+                let mix = analyzer.mix(&partials.aggregate());
                 Ok((mix, format!("store {} aggregate", path.display())))
             }
         }

@@ -12,11 +12,13 @@
 
 use crate::analyze::stream_recording;
 use crate::args::{parse_all, CliError};
-use crate::common::{analyzer_for, counts_epoch, parse_rule, parse_window, WorkloadOptions};
+use crate::common::{
+    analyzer_for, check_identity, counts_epoch, open_store, parse_rule, parse_window,
+    WorkloadOptions,
+};
 use crate::registry;
 use hbbp_core::{HybridRule, MixDrift, Window};
 use hbbp_program::MnemonicMix;
-use hbbp_store::{ProfileStore, StoreIdentity};
 use hbbp_workloads::Workload;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -135,21 +137,11 @@ impl WatchOptions {
         analyzer: &hbbp_core::Analyzer,
         w: &Workload,
     ) -> Result<(u32, MnemonicMix), CliError> {
-        let store = ProfileStore::open(&self.baseline).map_err(|e| {
-            CliError::Failed(format!("cannot open {}: {e}", self.baseline.display()))
-        })?;
-        if store.identity() != Some(&StoreIdentity::of_workload(w, analyzer.map())) {
-            return Err(CliError::Failed(format!(
-                "store {} was not recorded from workload `{}` — wrong --workload or --scale?",
-                self.baseline.display(),
-                w.name()
-            )));
-        }
-        let snapshot = store.try_snapshot().map_err(|e| {
-            CliError::Failed(format!("cannot read {}: {e}", self.baseline.display()))
-        })?;
-        let epoch = counts_epoch(&snapshot, self.epoch, &self.baseline)?;
-        Ok((epoch, analyzer.mix(&snapshot.epoch_aggregate(epoch))))
+        let store = open_store(&self.baseline)?;
+        check_identity(&store, &self.baseline, w, analyzer)?;
+        let partials = store.partials();
+        let epoch = counts_epoch(&partials, self.epoch, &self.baseline)?;
+        Ok((epoch, analyzer.mix(&partials.epoch_aggregate(epoch))))
     }
 
     /// Execute: returns the watch report (`DRIFT` lines + summary).
@@ -202,6 +194,7 @@ impl WatchOptions {
 mod tests {
     use super::*;
     use crate::analyze::tests::{phased_recording, raw};
+    use hbbp_store::{ProfileStore, StoreIdentity};
 
     #[test]
     fn wrong_workload_recording_is_rejected() {

@@ -59,7 +59,7 @@
 //! store.append_counts(2, 60, 40, run2)?;
 //!
 //! // The aggregate is the correctly rounded exact sum of the frames.
-//! assert_eq!(store.aggregate().get(0x400000), 1500.0);
+//! assert_eq!(store.partials().aggregate().get(0x400000), 1500.0);
 //!
 //! // Reopening replays the log; a torn tail would be truncated here.
 //! // The store keeps running sums and a frame tally; the frames
@@ -68,7 +68,7 @@
 //! let store = ProfileStore::open(&path)?;
 //! assert_eq!(store.counts_frames(), 2);
 //! assert_eq!(store.snapshot().counts.len(), 2);
-//! assert_eq!(store.aggregate().get(0x400040), 10.0);
+//! assert_eq!(store.partials().aggregate().get(0x400040), 10.0);
 //! # std::fs::remove_file(&path)?;
 //! # Ok(())
 //! # }
@@ -97,5 +97,7 @@ mod writer;
 
 pub use daemon::{spawn, DaemonConfig, DaemonHandle, DEFAULT_QUEUE_DEPTH};
 pub use frame::{CountsRecord, Frame, ModuleSpan, StoreIdentity, WindowRecord};
-pub use store::{EpochStats, OpenReport, ProfileStore, Snapshot, StoreError, COMPACTED_SOURCE};
+pub use store::{
+    EpochStats, OpenReport, Partials, ProfileStore, Snapshot, StoreError, COMPACTED_SOURCE,
+};
 pub use wire::{DaemonStats, IngestReply, StoreClient, WireError};

@@ -10,16 +10,22 @@
 //!
 //! ## What stays in memory
 //!
-//! An open store keeps the identity, each epoch's running exact sums
-//! (what its queries read), the distinct source ids with their next
-//! sequence numbers, and a tally of its counts and window frames. The
-//! frames themselves live only in the log: each is checked, encoded and
-//! written, then only **counted**, so an always-on daemon grows with its
-//! sources and epochs, not with the streams it accepts.
-//! [`ProfileStore::snapshot`] reads counts and window frames back from
-//! the log in one pass; [`ProfileStore::open`] and
-//! [`ProfileStore::compact`] stream the log through a bounded buffer
-//! rather than reading it whole.
+//! An open store keeps the identity, each epoch's running exact sums,
+//! the distinct source ids with their next sequence numbers, and a tally
+//! of its counts and window frames. The frames themselves live only in
+//! the log: each is checked, encoded and written, then only **counted**,
+//! so an always-on daemon grows with its sources and epochs, not with
+//! the streams it accepts.
+//!
+//! Readers answer from the running sums: [`ProfileStore::partials`]
+//! hands out the [`Partials`] that every aggregate, epoch aggregate and
+//! per-epoch accounting is read from — the same type a daemon's queries
+//! gather from its shards — so they read no frame back. Only two paths
+//! touch the log: [`ProfileStore::windows`] reads the window frames for
+//! timeline readers, skipping counts frames undecoded, and
+//! [`ProfileStore::snapshot`] reads counts and window frames back in one
+//! pass for a merge. [`ProfileStore::open`] and [`ProfileStore::compact`]
+//! stream the log through a bounded buffer rather than reading it whole.
 //!
 //! ## Merge semantics (what "lossless" means here)
 //!
@@ -63,7 +69,7 @@
 //! bit-exactly, then **seals** the current epoch so subsequent appends
 //! open a new one. History survives compaction; only per-recording
 //! provenance inside an epoch is given up. Drift queries
-//! ([`Snapshot::epoch_aggregate`]) compare epochs long after their raw
+//! ([`Partials::epoch_aggregate`]) compare epochs long after their raw
 //! frames are gone.
 
 use crate::exact::{sum_epochs, BlockSums, Expansions};
@@ -184,8 +190,8 @@ impl EpochStats {
     }
 }
 
-/// An immutable, in-memory view of a store's contents — what queries,
-/// merges and differential tests consume.
+/// An immutable, in-memory view of a store's contents, read back from
+/// its log — what merges and differential tests consume.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// The store's program identity, if one was ever written.
@@ -260,43 +266,6 @@ impl Snapshot {
         }
         Partials::gather([sums.partials()])
     }
-
-    /// Total `(ebs, lbr)` samples over all counts records.
-    pub fn total_samples(&self) -> (u64, u64) {
-        self.counts
-            .iter()
-            .fold((0, 0), |(e, l), r| (e + r.ebs_samples, l + r.lbr_samples))
-    }
-
-    /// Distinct source ids across counts records.
-    pub fn sources(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = self.counts.iter().map(|r| r.source).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
-    /// Window frames in canonical `(source, index)` order — the stable
-    /// timeline positions that `hbbp synth --window` selects from,
-    /// independent of arrival interleaving. Log order is preserved
-    /// among duplicates of the same `(source, index)` pair.
-    pub fn ordered_windows(&self) -> Vec<&WindowRecord> {
-        let mut v: Vec<&WindowRecord> = self.windows.iter().collect();
-        v.sort_by_key(|w| (w.source, w.index));
-        v
-    }
-
-    /// Number of window timeline frames in the snapshot.
-    pub fn window_count(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// The `n`-th window in canonical `(source, index)` order, or
-    /// `None` past the end. This is the indexing contract behind
-    /// `hbbp synth --window N`.
-    pub fn nth_window(&self, n: usize) -> Option<&WindowRecord> {
-        self.ordered_windows().get(n).copied()
-    }
 }
 
 /// One epoch's exact partial: its accounting and each block's sum as an
@@ -310,9 +279,12 @@ pub(crate) struct EpochPartial {
     pub sums: Expansions,
 }
 
-/// Epoch partials combined, from any number of shards: the aggregates
-/// and accounting of a daemon's read queries and of a [`Snapshot`].
-pub(crate) struct Partials {
+/// Epoch partials combined, from any number of shards: the one read
+/// surface for aggregates and accounting. A daemon's read queries gather
+/// every writer's partials; an open store hands out its own through
+/// [`ProfileStore::partials`]; a [`Snapshot`] sums its frames into one.
+#[derive(Debug)]
+pub struct Partials {
     /// Ascending by epoch; each epoch's partials from every shard that
     /// has it.
     epochs: BTreeMap<u32, Vec<Arc<EpochPartial>>>,
@@ -328,8 +300,9 @@ impl Partials {
         Partials { epochs }
     }
 
-    /// Per-epoch accounting summed over shards, ascending by epoch.
-    pub(crate) fn epoch_stats(&self) -> Vec<EpochStats> {
+    /// Per-epoch accounting summed over shards, ascending by epoch: one
+    /// entry per epoch with counts frames.
+    pub fn epoch_stats(&self) -> Vec<EpochStats> {
         self.epochs.keys().map(|&epoch| self.stats(epoch)).collect()
     }
 
@@ -346,13 +319,13 @@ impl Partials {
     }
 
     /// Whether some shard has counts frames in `epoch`.
-    pub(crate) fn has_epoch(&self, epoch: u32) -> bool {
+    pub fn has_epoch(&self, epoch: u32) -> bool {
         self.epochs.contains_key(&epoch)
     }
 
     /// One epoch's aggregate (see [`Snapshot::epoch_aggregate`]); empty
     /// for an epoch no shard has.
-    pub(crate) fn epoch_aggregate(&self, epoch: u32) -> Bbec {
+    pub fn epoch_aggregate(&self, epoch: u32) -> Bbec {
         let mut sums = BlockSums::default();
         for part in self.epochs.get(&epoch).into_iter().flatten() {
             sums.add_expansions(&part.sums);
@@ -361,7 +334,7 @@ impl Partials {
     }
 
     /// The global aggregate (see [`Snapshot::aggregate`]).
-    pub(crate) fn aggregate(&self) -> Bbec {
+    pub fn aggregate(&self) -> Bbec {
         let epochs: Vec<Bbec> = self
             .epochs
             .keys()
@@ -879,14 +852,15 @@ impl ProfileStore {
     }
 
     /// Window timeline frames in log order, read back from the log (see
-    /// [`ProfileStore::try_snapshot`]).
+    /// [`ProfileStore::try_snapshot`]) in one pass that skips the counts
+    /// frames without decoding them.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// On an I/O error reading the store's own log back;
-    /// [`ProfileStore::try_snapshot`] reports it instead.
-    pub fn windows(&self) -> Vec<WindowRecord> {
-        self.snapshot().windows
+    /// I/O errors reading the log, including a log that no longer reads
+    /// back as written.
+    pub fn windows(&self) -> Result<Vec<WindowRecord>, StoreError> {
+        Ok(self.read_back(false)?.windows)
     }
 
     /// The epoch stamped onto the next append. Starts at 0; advanced by
@@ -936,6 +910,13 @@ impl ProfileStore {
     /// I/O errors reading the log, including a log that no longer reads
     /// back as written.
     pub fn try_snapshot(&self) -> Result<Snapshot, StoreError> {
+        self.read_back(true)
+    }
+
+    /// The log's window frames, and its counts frames too when `counts`
+    /// is set (otherwise they are skipped, never decoded). Each kind read
+    /// must match its tally.
+    fn read_back(&self, counts: bool) -> Result<Snapshot, StoreError> {
         let mut snap = Snapshot {
             identity: self.identity.clone(),
             counts: Vec::new(),
@@ -944,6 +925,9 @@ impl ProfileStore {
             window_epochs: Vec::new(),
         };
         self.for_each_frame(|bytes, epoch| {
+            if bytes[0] == T_COUNTS && !counts {
+                return Ok(());
+            }
             match read_frame(bytes) {
                 FrameOutcome::Frame {
                     frame: Some(Frame::Counts(c)),
@@ -963,7 +947,8 @@ impl ProfileStore {
             }
             Ok(())
         })?;
-        if snap.counts.len() as u64 != self.counts_frames
+        let counts_frames = if counts { self.counts_frames } else { 0 };
+        if snap.counts.len() as u64 != counts_frames
             || snap.windows.len() as u64 != self.window_frames
         {
             return Err(log_changed());
@@ -1013,19 +998,20 @@ impl ProfileStore {
     /// Every epoch's exact partial, ascending by epoch — everything a
     /// read query needs from this store. Sealed epochs are shared, not
     /// copied.
-    pub(crate) fn partials(&self) -> Vec<Arc<EpochPartial>> {
+    pub(crate) fn epoch_partials(&self) -> Vec<Arc<EpochPartial>> {
         self.sums.partials()
     }
 
-    /// Distinct source ids across the counts frames.
-    pub(crate) fn sources(&self) -> Vec<u32> {
-        self.sources.iter().copied().collect()
+    /// The running sums as a read surface: every aggregate and the
+    /// per-epoch accounting, answered from memory without reading the
+    /// log.
+    pub fn partials(&self) -> Partials {
+        Partials::gather([self.epoch_partials()])
     }
 
-    /// The global aggregate (see [`Snapshot::aggregate`]), from the
-    /// running sums.
-    pub fn aggregate(&self) -> Bbec {
-        Partials::gather([self.partials()]).aggregate()
+    /// Distinct source ids across the counts frames, ascending.
+    pub fn sources(&self) -> Vec<u32> {
+        self.sources.iter().copied().collect()
     }
 
     /// Merge another store's contents into this one — lossless: every
@@ -1056,8 +1042,8 @@ impl ProfileStore {
     /// // of the adds, so merging the other way round gives the same bits.
     /// a.merge_from(&b.snapshot())?;
     /// assert_eq!(a.counts_frames(), 3);
-    /// assert_eq!(a.aggregate().get(0x1000), 0.6);
-    /// assert_eq!(b.aggregate().get(0x1000), 0.5);
+    /// assert_eq!(a.partials().aggregate().get(0x1000), 0.6);
+    /// assert_eq!(b.partials().aggregate().get(0x1000), 0.5);
     /// # std::fs::remove_dir_all(&dir)?;
     /// # Ok(())
     /// # }
@@ -1150,7 +1136,7 @@ impl ProfileStore {
             .checked_add(1)
             .ok_or(StoreError::SequenceOverflow(COMPACTED_SOURCE))?;
 
-        let partials = self.partials();
+        let partials = self.epoch_partials();
         let first_fold = self.next_seq.get(&COMPACTED_SOURCE).copied().unwrap_or(0);
         let next_fold = u32::try_from(partials.iter().map(|p| terms(p)).sum::<usize>())
             .ok()
@@ -1339,9 +1325,17 @@ mod tests {
         assert_eq!(s.open_report().truncated_bytes, 0);
         assert_eq!(s.identity(), Some(&identity()));
         assert_eq!(s.counts_frames(), 2);
-        assert_eq!(s.windows().len(), 1);
-        assert_eq!(s.aggregate().get(0x400000), 3.0);
-        assert_eq!(s.snapshot().total_samples(), (14, 7));
+        assert_eq!(s.windows().unwrap().len(), 1);
+        assert_eq!(s.partials().aggregate().get(0x400000), 3.0);
+        assert_eq!(
+            s.partials().epoch_stats(),
+            vec![EpochStats {
+                epoch: 0,
+                counts_frames: 2,
+                ebs_samples: 14,
+                lbr_samples: 7,
+            }]
+        );
     }
 
     use hbbp_program::MnemonicMix;
@@ -1367,7 +1361,7 @@ mod tests {
         let s = ProfileStore::open(&path).unwrap();
         assert_eq!(s.open_report().truncated_bytes, 0);
         assert_eq!(s.counts_frames(), 2);
-        assert_eq!(s.aggregate().get(0x400010), 4.0);
+        assert_eq!(s.partials().aggregate().get(0x400010), 4.0);
     }
 
     #[test]
@@ -1414,8 +1408,8 @@ mod tests {
         b.append_counts(2, 3, 0, bbec(&[(0x400020, 8.0)])).unwrap();
         a.merge_from(&b.snapshot()).unwrap();
         assert_eq!(a.counts_frames(), 3);
-        assert_eq!(a.aggregate().get(0x400000), 3.0);
-        assert_eq!(a.snapshot().sources(), vec![1, 2]);
+        assert_eq!(a.partials().aggregate().get(0x400000), 3.0);
+        assert_eq!(a.sources(), vec![1, 2]);
 
         let mut other = identity();
         other.program = "q".into();
@@ -1440,13 +1434,13 @@ mod tests {
             )
             .unwrap();
         }
-        let before = s.aggregate();
+        let before = s.partials().aggregate();
         let bytes_before = s.file_bytes();
         s.compact().unwrap();
         assert_eq!(s.counts_frames(), 1);
         assert_eq!(s.snapshot().counts[0].source, COMPACTED_SOURCE);
         assert!(s.file_bytes() < bytes_before);
-        let after = s.aggregate();
+        let after = s.partials().aggregate();
         for (addr, count) in before.iter() {
             assert_eq!(after.get(addr).to_bits(), count.to_bits(), "addr {addr:#x}");
         }
@@ -1492,8 +1486,8 @@ mod tests {
         let s = ProfileStore::open(&path).unwrap();
         assert_eq!(s.open_report().truncated_bytes, 0);
         assert_eq!(s.counts_frames(), 2);
-        assert_eq!(s.windows().len(), 1);
-        assert_eq!(s.aggregate().get(0x400000), 1.0);
+        assert_eq!(s.windows().unwrap().len(), 1);
+        assert_eq!(s.partials().aggregate().get(0x400000), 1.0);
     }
 
     #[test]
@@ -1518,13 +1512,13 @@ mod tests {
             .unwrap();
         s.compact().unwrap();
         assert_eq!(s.pending_bytes(), 0);
-        assert_eq!(s.aggregate().get(0x400010), 2.0);
+        assert_eq!(s.partials().aggregate().get(0x400010), 2.0);
         drop(s);
         let s = ProfileStore::open(&path).unwrap();
         assert_eq!(s.open_report().truncated_bytes, 0);
         assert_eq!(s.counts_frames(), 1, "one compacted frame");
-        assert_eq!(s.aggregate().get(0x400000), 1.0);
-        assert_eq!(s.aggregate().get(0x400010), 2.0);
+        assert_eq!(s.partials().aggregate().get(0x400000), 1.0);
+        assert_eq!(s.partials().aggregate().get(0x400010), 2.0);
     }
 
     /// A window frame with a valid checksum but a payload that does not
@@ -1868,56 +1862,6 @@ mod tests {
             (snap.windows[0].index, snap.windows[1].index),
             (0, 1),
             "window order preserved within epochs"
-        );
-    }
-
-    #[test]
-    fn window_selection_is_canonical_across_arrival_order() {
-        let path = tmp("window-select.hbbp");
-        let window = |source: u32, index: u32, weight: f64| {
-            let mut mix = MnemonicMix::new();
-            mix.add(hbbp_isa::Mnemonic::Add, weight);
-            WindowRecord {
-                source,
-                index,
-                start_cycles: u64::from(index) * 100,
-                end_cycles: u64::from(index + 1) * 100,
-                ebs_samples: 1,
-                lbr_samples: 1,
-                mix,
-            }
-        };
-        let mut s = ProfileStore::open_with_identity(&path, identity()).unwrap();
-        // Interleaved arrival from two sources, out of index order.
-        s.append_window(window(2, 0, 20.0)).unwrap();
-        s.append_window(window(1, 1, 11.0)).unwrap();
-        s.append_window(window(1, 0, 10.0)).unwrap();
-        s.append_window(window(2, 1, 21.0)).unwrap();
-        let snap = s.snapshot();
-        assert_eq!(snap.window_count(), 4);
-        // Canonical order is (source, index), not arrival order.
-        let keys: Vec<(u32, u32)> = snap
-            .ordered_windows()
-            .iter()
-            .map(|w| (w.source, w.index))
-            .collect();
-        assert_eq!(keys, vec![(1, 0), (1, 1), (2, 0), (2, 1)]);
-        // nth_window follows the same contract (the `--window N` index).
-        let third = snap.nth_window(2).expect("in range");
-        assert_eq!((third.source, third.index), (2, 0));
-        assert_eq!(
-            third.mix.get(hbbp_isa::Mnemonic::Add).to_bits(),
-            20.0f64.to_bits()
-        );
-        assert!(snap.nth_window(4).is_none());
-        // The selection survives a reopen byte-for-byte.
-        drop(s);
-        let s = ProfileStore::open(&path).unwrap();
-        let reopened = s.snapshot();
-        let third = reopened.nth_window(2).expect("in range");
-        assert_eq!(
-            third.mix.get(hbbp_isa::Mnemonic::Add).to_bits(),
-            20.0f64.to_bits()
         );
     }
 }

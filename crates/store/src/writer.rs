@@ -183,7 +183,7 @@ pub(crate) fn writer_loop(
                 },
                 WriterMsg::ReadSums(reply) => {
                     commit(&mut store, &mut uncommitted, &metrics, &mut dirty);
-                    reply.send(store.partials());
+                    reply.send(store.epoch_partials());
                 }
                 WriterMsg::Stats(reply) => {
                     commit(&mut store, &mut uncommitted, &metrics, &mut dirty);

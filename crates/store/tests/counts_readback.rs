@@ -3,14 +3,17 @@
 //! file and the pending buffer. The snapshot must be the same whether
 //! the frames are pending, committed or reopened, must agree with the
 //! running sums across `compact`, and must fail — not answer from
-//! memory — when the log no longer reads back as written.
+//! memory — when the log no longer reads back as written. Readers of
+//! the running sums (`partials`) never touch the log, and `windows`
+//! reads only the window frames back.
 
 use hbbp_program::{Bbec, MnemonicMix, Ring};
 use hbbp_store::{
-    ModuleSpan, ProfileStore, Snapshot, StoreError, StoreIdentity, WindowRecord, COMPACTED_SOURCE,
+    EpochStats, ModuleSpan, ProfileStore, Snapshot, StoreError, StoreIdentity, WindowRecord,
+    COMPACTED_SOURCE,
 };
 use std::os::unix::fs::FileExt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("hbbp-store-readback-{}", std::process::id()));
@@ -62,8 +65,50 @@ fn read_back(store: &ProfileStore) -> Snapshot {
     let snap = store.snapshot();
     assert_eq!(store.counts_frames(), snap.counts.len() as u64);
     assert_eq!(store.window_frames(), snap.windows.len() as u64);
-    assert_eq!(bits(&store.aggregate()), bits(&snap.aggregate()));
+    assert_eq!(bits(&store.partials().aggregate()), bits(&snap.aggregate()));
     snap
+}
+
+/// Everything the store's running sums answer: the per-epoch
+/// accounting, the global aggregate and each epoch's aggregate.
+fn answers(store: &ProfileStore) -> (Vec<EpochStats>, Vec<Vec<(u64, u64)>>) {
+    let partials = store.partials();
+    let stats = partials.epoch_stats();
+    let mut folds = vec![bits(&partials.aggregate())];
+    folds.extend(
+        stats
+            .iter()
+            .map(|s| bits(&partials.epoch_aggregate(s.epoch))),
+    );
+    (stats, folds)
+}
+
+/// Flip the low bit of the log byte at `at`, behind the store's back;
+/// returns the open file and the byte's original value.
+fn flip_bit(path: &Path, at: u64) -> (std::fs::File, [u8; 1]) {
+    let file = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(path)
+        .expect("open the log");
+    let mut byte = [0u8; 1];
+    file.read_exact_at(&mut byte, at).expect("read");
+    file.write_all_at(&[byte[0] ^ 0x01], at).expect("damage");
+    (file, byte)
+}
+
+/// The error a store gives for a log that no longer reads back.
+fn assert_log_changed<T: std::fmt::Debug>(got: Result<T, StoreError>, what: &str) {
+    match got {
+        Err(StoreError::Io(e)) => {
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+            assert_eq!(
+                e.to_string(),
+                "the store log changed on disk since it was opened"
+            );
+        }
+        other => panic!("{what}, got {other:?}"),
+    }
 }
 
 #[test]
@@ -149,36 +194,56 @@ fn a_counts_frame_damaged_under_an_open_store_fails_the_snapshot() {
     store
         .append_counts_deferred(3, 5, 5, bbec(&[(0x400020, 5.0)]))
         .expect("append");
+    store.append_window_deferred(window(1, 0)).expect("window");
     let intact = read_back(&store);
-    let aggregate = bits(&store.aggregate());
+    let aggregate = bits(&store.partials().aggregate());
+    let before = answers(&store);
 
     // Flip a bit in the first counts frame's last payload byte, behind
     // the store's back.
-    let file = std::fs::OpenOptions::new()
-        .read(true)
-        .write(true)
-        .open(&path)
-        .expect("open the log");
-    let mut byte = [0u8; 1];
-    file.read_exact_at(&mut byte, end - 1).expect("read");
-    file.write_all_at(&[byte[0] ^ 0x01], end - 1)
-        .expect("damage");
+    let (file, byte) = flip_bit(&path, end - 1);
 
-    match store.try_snapshot() {
-        Err(StoreError::Io(e)) => {
-            assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
-            assert_eq!(
-                e.to_string(),
-                "the store log changed on disk since it was opened"
-            );
-        }
-        other => panic!("a damaged counts frame must fail the snapshot, got {other:?}"),
-    }
-    // The running sums are memory, not the log: queries still answer.
-    assert_eq!(bits(&store.aggregate()), aggregate);
+    assert_log_changed(
+        store.try_snapshot(),
+        "a damaged counts frame must fail the snapshot",
+    );
+    // The running sums are memory, not the log: queries still answer,
+    // and the window reader skips the damaged counts frame undecoded.
+    assert_eq!(answers(&store), before);
+    assert_eq!(bits(&store.partials().aggregate()), aggregate);
+    assert_eq!(store.windows().expect("windows"), intact.windows);
 
     // Undo the damage: the log reads back as written again.
     file.write_all_at(&byte, end - 1).expect("repair");
     assert_eq!(read_back(&store), intact);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_window_frame_damaged_under_an_open_store_fails_windows() {
+    let path = tmp("damaged-window.hbbp");
+    let mut store = ProfileStore::open_with_identity(&path, identity()).expect("create");
+    store
+        .append_counts(1, 5, 5, bbec(&[(0x400000, 3.0)]))
+        .expect("append");
+    store.append_window(window(1, 0)).expect("window");
+    let end = store.file_bytes();
+    store.append_window(window(1, 1)).expect("window");
+    store.append_window_deferred(window(2, 0)).expect("window");
+    let intact = store.windows().expect("windows");
+    assert_eq!(intact.len(), 3);
+    let before = answers(&store);
+
+    // Flip a bit in the first window frame's last payload byte.
+    let (file, byte) = flip_bit(&path, end - 1);
+    assert_log_changed(
+        store.windows(),
+        "a damaged window frame must fail the window read",
+    );
+    // The running sums do not depend on the timeline.
+    assert_eq!(answers(&store), before);
+
+    file.write_all_at(&byte, end - 1).expect("repair");
+    assert_eq!(store.windows().expect("windows"), intact);
     let _ = std::fs::remove_file(&path);
 }

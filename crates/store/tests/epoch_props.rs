@@ -107,20 +107,47 @@ fn global_fold(snap: &Snapshot) -> Vec<(u64, u64)> {
     entries
 }
 
+/// The store's running sums ([`ProfileStore::partials`]) answer as the
+/// snapshot read back from its log does, bit for bit: the per-epoch
+/// accounting, the global aggregate, and the aggregate of every epoch
+/// plus one the store does not hold.
+fn check_partials(store: &ProfileStore) -> Snapshot {
+    let snap = store.snapshot();
+    let partials = store.partials();
+    let bits = |bbec: &Bbec| -> Vec<(u64, u64)> {
+        let mut entries: Vec<(u64, u64)> = bbec.iter().map(|(a, c)| (a, c.to_bits())).collect();
+        entries.sort_unstable();
+        entries
+    };
+    assert_eq!(partials.epoch_stats(), snap.epoch_stats());
+    assert_eq!(bits(&partials.aggregate()), bits(&snap.aggregate()));
+    let absent = store.current_epoch() + 1;
+    for epoch in snap.epochs().into_iter().chain([absent]) {
+        assert_eq!(partials.has_epoch(epoch), epoch != absent, "epoch {epoch}");
+        assert_eq!(
+            bits(&partials.epoch_aggregate(epoch)),
+            bits(&snap.epoch_aggregate(epoch)),
+            "epoch {epoch}"
+        );
+    }
+    snap
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Tiered compaction preserves every per-epoch aggregate and the
-    /// global fold bit-exactly, through the rewrite and a reopen.
+    /// global fold bit-exactly, through the rewrite and a reopen; the
+    /// running sums answer as the log does before, after and on reopen.
     #[test]
     fn tiered_compaction_preserves_per_epoch_folds(groups in arb_epochs()) {
         let (path, mut store) = build(&groups);
-        let before = store.snapshot();
+        let before = check_partials(&store);
         let want_epochs = epoch_folds(&before);
         let want_global = global_fold(&before);
 
         store.compact().expect("compact");
-        let after = store.snapshot();
+        let after = check_partials(&store);
         prop_assert_eq!(&epoch_folds(&after), &want_epochs);
         prop_assert_eq!(&global_fold(&after), &want_global);
         // Every epoch that had counts keeps its exact partial in
@@ -140,7 +167,7 @@ proptest! {
         drop(store);
         let reopened = ProfileStore::open(&path).expect("reopen");
         prop_assert_eq!(reopened.open_report().truncated_bytes, 0);
-        let snap = reopened.snapshot();
+        let snap = check_partials(&reopened);
         prop_assert_eq!(&epoch_folds(&snap), &want_epochs);
         prop_assert_eq!(&global_fold(&snap), &want_global);
         std::fs::remove_file(&path).ok();

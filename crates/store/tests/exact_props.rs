@@ -173,13 +173,13 @@ proptest! {
         for (i, &v) in values.iter().enumerate() {
             store.append_counts_deferred(i as u32, 1, 2, one_block(v)).expect("append");
         }
-        prop_assert_eq!(store.aggregate().get(BLOCK).to_bits(), want, "running sums");
+        prop_assert_eq!(store.partials().aggregate().get(BLOCK).to_bits(), want, "running sums");
         store.compact().expect("compact");
-        prop_assert_eq!(store.aggregate().get(BLOCK).to_bits(), want, "compacted");
+        prop_assert_eq!(store.partials().aggregate().get(BLOCK).to_bits(), want, "compacted");
         prop_assert_eq!(store.snapshot().aggregate().get(BLOCK).to_bits(), want);
         drop(store);
         let store = ProfileStore::open(&path).expect("reopen");
-        prop_assert_eq!(store.aggregate().get(BLOCK).to_bits(), want, "replayed");
+        prop_assert_eq!(store.partials().aggregate().get(BLOCK).to_bits(), want, "replayed");
         std::fs::remove_file(&path).ok();
     }
 

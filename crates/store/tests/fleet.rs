@@ -52,16 +52,23 @@ fn merged_stores_match_the_batch_fold_bit_identically() {
     // the batch analyses over the individual recordings.
     store_a.merge_from(&store_b.snapshot()).unwrap();
     let want = batch_fold(&analyzer, &[&rec0.data, &rec1.data]);
-    assert_bbec_bit_identical(&store_a.aggregate(), &want, "merged aggregate");
+    assert_bbec_bit_identical(&store_a.partials().aggregate(), &want, "merged aggregate");
 
     // ... and the derived mixes agree bitwise too.
-    assert_eq!(analyzer.mix(&store_a.aggregate()), analyzer.mix(&want));
+    assert_eq!(
+        analyzer.mix(&store_a.partials().aggregate()),
+        analyzer.mix(&want)
+    );
 
     // Reopening the merged store from disk preserves the property: the
     // fold crossed the file bit-exactly.
     drop(store_a);
     let reopened = ProfileStore::open(dir.join("a.hbbp")).unwrap();
-    assert_bbec_bit_identical(&reopened.aggregate(), &want, "reopened aggregate");
+    assert_bbec_bit_identical(
+        &reopened.partials().aggregate(),
+        &want,
+        "reopened aggregate",
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -198,7 +205,7 @@ fn daemon_loopback_four_concurrent_clients_bit_identical_aggregate() {
     // tail simulated on one of them) recovers every complete frame.
     let part0 = dir.join("part-0.hbbp");
     let before = ProfileStore::open(&part0).unwrap();
-    let frames_before = before.snapshot().counts.len() + before.windows().len();
+    let frames_before = before.snapshot().counts.len() + before.windows().unwrap().len();
     assert!(frames_before > 0);
     drop(before);
     // The compacted log ends in a 13-byte EPOCH seal marker; tear through
@@ -211,7 +218,7 @@ fn daemon_loopback_four_concurrent_clients_bit_identical_aggregate() {
     let recovered = ProfileStore::open(&part0).unwrap();
     assert!(recovered.open_report().truncated_bytes > 0);
     assert_eq!(
-        recovered.snapshot().counts.len() + recovered.windows().len(),
+        recovered.snapshot().counts.len() + recovered.windows().unwrap().len(),
         frames_before - 1,
         "exactly the torn frame is lost"
     );

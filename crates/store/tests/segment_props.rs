@@ -128,8 +128,11 @@ fn check_read_back(store: &ProfileStore) -> Snapshot {
     assert_eq!(store.window_frames(), snap.windows.len() as u64);
     let bits =
         |bbec: &Bbec| -> Vec<(u64, u64)> { bbec.iter().map(|(a, c)| (a, c.to_bits())).collect() };
-    assert_eq!(bits(&store.aggregate()), bits(&snap.aggregate()));
-    let (ebs, lbr) = snap.total_samples();
+    assert_eq!(bits(&store.partials().aggregate()), bits(&snap.aggregate()));
+    let (ebs, lbr) = snap
+        .counts
+        .iter()
+        .fold((0, 0), |(e, l), r| (e + r.ebs_samples, l + r.lbr_samples));
     let stats = snap.epoch_stats();
     assert_eq!(ebs, stats.iter().map(|s| s.ebs_samples).sum::<u64>());
     assert_eq!(lbr, stats.iter().map(|s| s.lbr_samples).sum::<u64>());

@@ -105,7 +105,7 @@ fn stats_counts_the_windows_the_streams_flushed() {
         assert_eq!(store.open_report().truncated_bytes, 0);
         let snap = store.snapshot();
         assert_eq!(store.window_frames(), snap.windows.len() as u64);
-        assert_eq!(store.windows(), snap.windows);
+        assert_eq!(store.windows().expect("windows"), snap.windows);
         got.extend(snap.windows);
     }
     let key = |w: &WindowRecord| (w.source, w.index);
