@@ -139,14 +139,26 @@ pub fn analyzer_for(workload: &Workload) -> Result<Analyzer, CliError> {
     .map_err(|e| CliError::Failed(format!("static discovery failed: {e:?}")))
 }
 
-/// Open the store file at `path` for reading. A reader never creates a
-/// store: a missing path is refused before the store is opened.
+/// Open the store file at `path` for reading only. A reader never
+/// creates a store, and it never cuts a torn tail off one: it reads the
+/// valid prefix and leaves the file as it is.
 pub fn open_store(path: &Path) -> Result<ProfileStore, CliError> {
+    ProfileStore::open_read_only(path).map_err(|e| cannot_open(path, e))
+}
+
+/// Open the existing store file at `path` to rewrite it. Like
+/// [`open_store`] it never creates a store (a missing path is refused
+/// before the store is opened), but it truncates a torn tail.
+pub fn open_store_writable(path: &Path) -> Result<ProfileStore, CliError> {
     let opened = match std::fs::metadata(path) {
         Ok(_) => ProfileStore::open(path),
         Err(e) => Err(StoreError::Io(e)),
     };
-    opened.map_err(|e| CliError::Failed(format!("cannot open {}: {e}", path.display())))
+    opened.map_err(|e| cannot_open(path, e))
+}
+
+fn cannot_open(path: &Path, e: StoreError) -> CliError {
+    CliError::Failed(format!("cannot open {}: {e}", path.display()))
 }
 
 /// Refuse the store read from `path` unless its identity is the one

@@ -2,7 +2,7 @@
 //! `stats`, `merge`, `compact`.
 
 use crate::args::{parse_all, CliError};
-use crate::common::{open_store, sample_totals};
+use crate::common::{open_store, open_store_writable, sample_totals};
 use hbbp_store::ProfileStore;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -136,7 +136,7 @@ impl StoreOptions {
                     if report.truncated_bytes > 0 {
                         let _ = writeln!(
                             out,
-                            "  recovered     truncated {} corrupt tail bytes on open",
+                            "  torn tail     {} corrupt bytes past the valid log, left in place",
                             report.truncated_bytes
                         );
                     }
@@ -180,7 +180,7 @@ impl StoreOptions {
             }
             StoreAction::Compact(files) => {
                 for path in files {
-                    let mut store = open_store(path)?;
+                    let mut store = open_store_writable(path)?;
                     let before = store.file_bytes();
                     store
                         .compact()

@@ -1,15 +1,20 @@
 //! The offline store readers — `hbbp store stats`, `report --store`,
 //! `synth --store` and `watch --baseline` — read a store file that must
-//! already exist, check its identity the same way, and select timeline
-//! windows in a canonical order that arrival interleaving cannot move.
+//! already exist, check its identity the same way, select timeline
+//! windows in a canonical order that arrival interleaving cannot move,
+//! and never write the file they read, torn tail or not.
 
+use hbbp_cli::common::analyzer_for;
+use hbbp_cli::record::RecordOptions;
 use hbbp_cli::report::ReportOptions;
 use hbbp_cli::store_cmd::StoreOptions;
 use hbbp_cli::synth::SynthOptions;
 use hbbp_cli::watch::WatchOptions;
+use hbbp_core::{HybridRule, SamplingPeriods};
 use hbbp_isa::Mnemonic;
 use hbbp_program::{MnemonicMix, Ring};
 use hbbp_store::{ModuleSpan, ProfileStore, StoreIdentity, WindowRecord};
+use hbbp_workloads::{phased, Scale};
 use std::path::{Path, PathBuf};
 
 fn args(parts: &[&str]) -> Vec<String> {
@@ -200,6 +205,105 @@ fn window_selection_is_canonical_across_arrival_order() {
     }
     for path in &paths {
         assert_eq!(window_targets(path), first);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn readers_leave_a_torn_tail_in_place() {
+    let dir = tmp_dir("torn-tail");
+    let recording = dir.join("phased.bin");
+    RecordOptions::parse(&args(&[
+        "--workload",
+        "phased",
+        "--out",
+        recording.to_str().unwrap(),
+    ]))
+    .unwrap()
+    .run()
+    .unwrap();
+    let w = phased(Scale::Tiny);
+    let analyzer = analyzer_for(&w).unwrap();
+    let data = hbbp_perf::codec::read(&std::fs::read(&recording).unwrap()).unwrap();
+    let periods = SamplingPeriods {
+        ebs: 1009,
+        lbr: 211,
+    };
+    let fold = analyzer.analyze_fused(&data, periods, &HybridRule::paper_default());
+    let clean = dir.join("clean.hbbp");
+    {
+        let identity = StoreIdentity::of_workload(&w, analyzer.map());
+        let mut store = ProfileStore::open_with_identity(&clean, identity).unwrap();
+        store.append_counts(1, 1, 1, fold.hbbp.bbec).unwrap();
+        store.append_window(window(1, 0, 10.0)).unwrap();
+        store.append_window(window(1, 1, 11.0)).unwrap();
+    }
+    // A copy with a torn append: 12 garbage bytes after the last frame.
+    let torn = dir.join("torn.hbbp");
+    let mut bytes = std::fs::read(&clean).unwrap();
+    bytes.extend_from_slice(&[0xA5; 12]);
+    std::fs::write(&torn, &bytes).unwrap();
+
+    // Each reader answers from the valid prefix, as it does on the clean
+    // store, and leaves every byte of the torn file where it was.
+    let readers: [&dyn Fn(&Path) -> String; 6] = [
+        &|p| {
+            StoreOptions::parse(&args(&["stats", p.to_str().unwrap()]))
+                .unwrap()
+                .run()
+                .unwrap()
+        },
+        &|p| {
+            ReportOptions::parse(&args(&["--store", p.to_str().unwrap()]))
+                .unwrap()
+                .run()
+                .unwrap()
+        },
+        &|p| {
+            ReportOptions::parse(&args(&["--store", p.to_str().unwrap(), "--timeline"]))
+                .unwrap()
+                .run()
+                .unwrap()
+        },
+        &|p| {
+            let (mix, what) = SynthOptions::parse(&args(&["--store", p.to_str().unwrap()]))
+                .unwrap()
+                .target()
+                .unwrap();
+            format!("{what}: {:?}", mix.top(8))
+        },
+        &|p| {
+            let opts =
+                SynthOptions::parse(&args(&["--store", p.to_str().unwrap(), "--window", "1"]));
+            let (mix, what) = opts.unwrap().target().unwrap();
+            format!("{what}: {:?}", mix.top(8))
+        },
+        &|p| {
+            let baseline = p.to_str().unwrap();
+            WatchOptions::parse(&args(&[
+                recording.to_str().unwrap(),
+                "--baseline",
+                baseline,
+            ]))
+            .unwrap()
+            .run()
+            .unwrap()
+        },
+    ];
+    for (i, read) in readers.iter().enumerate() {
+        let answer = read(&torn);
+        assert_eq!(
+            std::fs::read(&torn).unwrap(),
+            bytes,
+            "reader {i} wrote the store"
+        );
+        let same = read(&clean).replace("clean.hbbp", "torn.hbbp");
+        if i == 0 {
+            let tail = "  torn tail     12 corrupt bytes past the valid log, left in place\n";
+            assert_eq!(answer, format!("{same}{tail}"));
+        } else {
+            assert_eq!(answer, same, "reader {i}");
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -54,21 +54,47 @@ impl EbsEstimate {
 #[derive(Debug, Clone)]
 pub(crate) struct EbsAccum<'m> {
     map: &'m BlockMap,
+    period: u64,
+    /// The current window's tallies.
+    win: EbsTally,
+    /// The whole stream's tallies, when kept: each window's are added in
+    /// when it closes.
+    whole: Option<EbsTally>,
+}
+
+/// Raw EBS sample tallies over a span of samples.
+#[derive(Debug, Clone)]
+struct EbsTally {
+    /// Samples per block, by block index.
     samples: Vec<u64>,
     used: u64,
     unmapped: u64,
-    period: u64,
+}
+
+impl EbsTally {
+    fn new(blocks: usize) -> EbsTally {
+        EbsTally {
+            samples: vec![0; blocks],
+            used: 0,
+            unmapped: 0,
+        }
+    }
 }
 
 impl<'m> EbsAccum<'m> {
     pub(crate) fn new(map: &'m BlockMap, period: u64) -> EbsAccum<'m> {
         EbsAccum {
             map,
-            samples: vec![0; map.len()],
-            used: 0,
-            unmapped: 0,
             period,
+            win: EbsTally::new(map.len()),
+            whole: None,
         }
+    }
+
+    /// Also keep whole-stream tallies beside the window's, read by
+    /// [`EbsAccum::whole_estimate`]. Call before the first sample.
+    pub(crate) fn keep_whole(&mut self) {
+        self.whole = Some(EbsTally::new(self.map.len()));
     }
 
     /// Attribute one sample's eventing IP. Attached LBR stacks are
@@ -76,22 +102,45 @@ impl<'m> EbsAccum<'m> {
     pub(crate) fn observe_ip(&mut self, ip: u64) {
         match self.map.enclosing(ip) {
             Some(bi) => {
-                self.samples[bi] += 1;
-                self.used += 1;
+                self.win.samples[bi] += 1;
+                self.win.used += 1;
             }
-            None => self.unmapped += 1,
+            None => self.win.unmapped += 1,
         }
     }
 
-    /// Produce the [`EbsEstimate`] of everything observed so far and reset
-    /// the accumulator in place, keeping its allocations — the windowed
-    /// online analyzer calls this once per window instead of building a
-    /// fresh accumulator (and tally vector) each time.
+    /// Produce the [`EbsEstimate`] of everything observed since the last
+    /// call and reset the tallies in place, keeping their allocations —
+    /// the windowed online analyzer calls this once per window instead of
+    /// building a fresh accumulator (and tally vector) each time. Kept
+    /// whole-stream tallies take the window's in first.
     pub(crate) fn take_estimate(&mut self) -> EbsEstimate {
+        let estimate = self.estimate(&self.win);
+        let win = &mut self.win;
+        if let Some(whole) = &mut self.whole {
+            for (t, &n) in whole.samples.iter_mut().zip(&win.samples) {
+                *t += n;
+            }
+            whole.used += win.used;
+            whole.unmapped += win.unmapped;
+        }
+        win.samples.fill(0);
+        win.used = 0;
+        win.unmapped = 0;
+        estimate
+    }
+
+    /// The estimate of the whole stream, when its tallies are kept. Every
+    /// window, the last one included, must be closed first.
+    pub(crate) fn whole_estimate(&self) -> Option<EbsEstimate> {
+        self.whole.as_ref().map(|whole| self.estimate(whole))
+    }
+
+    fn estimate(&self, tally: &EbsTally) -> EbsEstimate {
         let mut dense = DenseBbec::for_map(self.map);
         let mut bbec = Bbec::new();
         let mut samples_per_block = HashMap::new();
-        for (bi, &n) in self.samples.iter().enumerate() {
+        for (bi, &n) in tally.samples.iter().enumerate() {
             if n == 0 {
                 continue;
             }
@@ -105,18 +154,14 @@ impl<'m> EbsAccum<'m> {
             // value, like the address-keyed reference does.
             bbec.set(block.start, value);
         }
-        let estimate = EbsEstimate {
+        EbsEstimate {
             bbec,
             dense,
             samples_per_block,
-            samples_used: self.used,
-            samples_unmapped: self.unmapped,
+            samples_used: tally.used,
+            samples_unmapped: tally.unmapped,
             period: self.period,
-        };
-        self.samples.fill(0);
-        self.used = 0;
-        self.unmapped = 0;
-        estimate
+        }
     }
 }
 

@@ -21,6 +21,15 @@
 //! which needs every stack's pass-1 statistics first. For that, each stack
 //! leaves a run log of one `u32` per run of identical streams, replayed at
 //! window close only when some branch was judged biased. No stack is kept.
+//!
+//! The branch interner, the pair table (with its walks) and the caches
+//! live for the whole stream; a window close zeroes only the tallies.
+//! With whole-stream totals on, one set of tallies per window and one for
+//! the whole stream come out of the same walk: the integer statistics are
+//! added into the totals at each close, the `f64` weights are added to
+//! both in the walk, and the run log spans the stream, each window
+//! replaying its own slice. Without totals the log is cleared at each
+//! close, so it spans one window.
 
 use hbbp_perf::PerfData;
 use hbbp_program::{Bbec, BlockMap, DenseBbec};
@@ -121,7 +130,7 @@ const STREAM_CACHE_BITS: u32 = 10;
 const RUN_BITS: u32 = 4;
 /// Streams one run-log word covers at most.
 const MAX_RUN: usize = 1 << RUN_BITS;
-/// Distinct `<target, source>` pairs one window can log: the pair id must
+/// Distinct `<target, source>` pairs one stream can log: the pair id must
 /// fit the word's high bits. The pair table alone (a walk, a source id and
 /// a hash entry each) exhausts memory long before this many pairs.
 const MAX_PAIRS: usize = 1 << (32 - RUN_BITS);
@@ -129,9 +138,9 @@ const MAX_PAIRS: usize = 1 << (32 - RUN_BITS);
 /// Empty slot of the direct-mapped stream cache.
 const NO_PAIR: (u64, u64, u32) = (0, 0, u32::MAX);
 
-/// One distinct `<target, source>` pair of the current window: a stream's
-/// walk is a pure function of the pair, so it is taken once and shared by
-/// every stream with the same pair.
+/// One distinct `<target, source>` pair of the stream: a stream's walk is
+/// a pure function of the pair, so it is taken once and shared by every
+/// stream with the same pair.
 #[derive(Debug, Clone)]
 struct Pair {
     /// The walk's covered block indices, a range of `LbrStats::walks`.
@@ -151,8 +160,8 @@ struct Pair {
 /// finished only when the window closes. So each usable stack also goes
 /// to a compact **run log**: one word for its length, then one `u32` per
 /// run of identical streams (pair id and run length). At close,
-/// [`LbrStats::take_estimate`] judges bias and replays the log only if
-/// some branch was judged biased.
+/// [`LbrStats::take_estimate`] judges bias and replays the window's slice
+/// of the log only if some branch was judged biased.
 ///
 /// Branch identity exploits the block map: a well-formed LBR source is a
 /// block **terminator** address, so its block index doubles as its branch
@@ -170,17 +179,11 @@ pub(crate) struct LbrStats<'m> {
     overflow_ids: HashMap<u64, u32>,
     /// Overflow ordinal → address.
     overflow_addrs: Vec<u64>,
-    /// Snapshots with this branch at `entry[0]`, by branch id.
-    entry0: Vec<u64>,
-    /// Total stack entries of this branch, by branch id.
-    appearances: Vec<u64>,
-    /// Stacks containing this branch at least once, by branch id.
-    stacks_containing: Vec<u64>,
-    /// Total entries of stacks containing this branch, by branch id.
-    entries_alongside: Vec<u64>,
     /// Epoch stamps (stack ordinal of last sighting), by branch id — the
     /// O(1) per-stack dedup replacing the seed's `contains` scan.
     last_stack: Vec<u64>,
+    /// Stacks observed over the stream: the current dedup epoch.
+    epoch: u64,
     /// Last interned `(addr, id)` — loop-dominated stacks repeat the same
     /// branch back to back, so this memo skips most lookups.
     memo: Option<(u64, u32)>,
@@ -189,25 +192,98 @@ pub(crate) struct LbrStats<'m> {
     /// re-sighting hits here instead of re-resolving through the map. A
     /// slot with `id == u32::MAX` is empty.
     branch_cache: Vec<(u64, u32)>,
-    stacks: u64,
     /// Direct-mapped `(target, source, pair id)` cache in front of
     /// `pair_ids`: a recording's streams are drawn from the few hot loops'
     /// branch pairs over and over. A slot with `id == u32::MAX` is empty.
     stream_cache: Vec<(u64, u64, u32)>,
-    /// Every pair of the window → its id (an index into `pairs`).
+    /// Every pair of the stream → its id (an index into `pairs`).
     pair_ids: HashMap<(u64, u64), u32>,
     pairs: Vec<Pair>,
     /// The pairs' walks, back to back.
     walks: Vec<usize>,
     /// Scratch buffer for [`BlockMap::walk_stream_into`].
     walk_buf: Vec<usize>,
-    /// Per-block stream weight, by block index.
-    weight: Vec<f64>,
+    /// The current window's tallies.
+    win: Tally,
+    /// The whole stream's tallies, when kept: integer statistics added in
+    /// at each window close, weights added in the walk.
+    whole: Option<Tally>,
     /// The run log: per usable stack, its length, then one word per run of
     /// at most [`MAX_RUN`] identical streams, `id << RUN_BITS | (run - 1)`.
     log: Vec<u32>,
+    /// Where the current window's stacks start in `log`.
+    log_start: usize,
+}
+
+/// Pass-1 statistics and stream weights over a span of stacks: one
+/// window or the whole stream.
+#[derive(Debug, Clone, Default)]
+struct Tally {
+    /// Snapshots with this branch at `entry[0]`, by branch id.
+    entry0: Vec<u64>,
+    /// Total stack entries of this branch, by branch id.
+    appearances: Vec<u64>,
+    /// Stacks containing this branch at least once, by branch id.
+    stacks_containing: Vec<u64>,
+    /// Total entries of stacks containing this branch, by branch id.
+    entries_alongside: Vec<u64>,
+    /// Per-block stream weight, by block index.
+    weight: Vec<f64>,
+    stacks: u64,
     streams: u64,
     derailed: u64,
+}
+
+impl Tally {
+    fn new(branches: usize, blocks: usize) -> Tally {
+        Tally {
+            entry0: vec![0; branches],
+            appearances: vec![0; branches],
+            stacks_containing: vec![0; branches],
+            entries_alongside: vec![0; branches],
+            weight: vec![0.0; blocks],
+            ..Tally::default()
+        }
+    }
+
+    fn branch_vecs(&mut self) -> [&mut Vec<u64>; 4] {
+        [
+            &mut self.entry0,
+            &mut self.appearances,
+            &mut self.stacks_containing,
+            &mut self.entries_alongside,
+        ]
+    }
+
+    /// Add `window`'s integer statistics; the weights are not touched
+    /// (the walk adds them to both tallies). Integer sums are exact.
+    fn add_counts(&mut self, window: &Tally) {
+        for (total, part) in [
+            (&mut self.entry0, &window.entry0),
+            (&mut self.appearances, &window.appearances),
+            (&mut self.stacks_containing, &window.stacks_containing),
+            (&mut self.entries_alongside, &window.entries_alongside),
+        ] {
+            total.resize(part.len(), 0);
+            for (t, &p) in total.iter_mut().zip(part) {
+                *t += p;
+            }
+        }
+        self.stacks += window.stacks;
+        self.streams += window.streams;
+        self.derailed += window.derailed;
+    }
+
+    /// Zero every tally in place, keeping the vectors' lengths.
+    fn zero(&mut self) {
+        for v in self.branch_vecs() {
+            v.fill(0);
+        }
+        self.weight.fill(0.0);
+        self.stacks = 0;
+        self.streams = 0;
+        self.derailed = 0;
+    }
 }
 
 impl<'m> LbrStats<'m> {
@@ -219,24 +295,26 @@ impl<'m> LbrStats<'m> {
             period,
             overflow_ids: HashMap::new(),
             overflow_addrs: Vec::new(),
-            entry0: vec![0; n],
-            appearances: vec![0; n],
-            stacks_containing: vec![0; n],
-            entries_alongside: vec![0; n],
             last_stack: vec![0; n],
+            epoch: 0,
             memo: None,
             branch_cache: vec![(0, u32::MAX); 1 << BRANCH_CACHE_BITS],
-            stacks: 0,
             stream_cache: vec![NO_PAIR; 1 << STREAM_CACHE_BITS],
             pair_ids: HashMap::new(),
             pairs: Vec::new(),
             walks: Vec::new(),
             walk_buf: Vec::new(),
-            weight: vec![0.0; n],
+            win: Tally::new(n, n),
+            whole: None,
             log: Vec::new(),
-            streams: 0,
-            derailed: 0,
+            log_start: 0,
         }
+    }
+
+    /// Also keep whole-stream tallies beside the window's, read by
+    /// [`LbrStats::whole_estimate`]. Call before the first stack.
+    pub(crate) fn keep_whole(&mut self) {
+        self.whole = Some(Tally::new(0, self.map.len()));
     }
 
     fn intern(&mut self, addr: u64) -> usize {
@@ -262,10 +340,9 @@ impl<'m> LbrStats<'m> {
                         let ordinal = self.overflow_addrs.len();
                         v.insert(ordinal as u32);
                         self.overflow_addrs.push(addr);
-                        self.entry0.push(0);
-                        self.appearances.push(0);
-                        self.stacks_containing.push(0);
-                        self.entries_alongside.push(0);
+                        for v in self.win.branch_vecs() {
+                            v.push(0);
+                        }
                         self.last_stack.push(0);
                         base + ordinal
                     }
@@ -325,11 +402,12 @@ impl<'m> LbrStats<'m> {
         if entries.is_empty() {
             return;
         }
-        self.stacks += 1;
+        self.win.stacks += 1;
         // Stack ordinal doubles as the dedup epoch (0 = never seen).
-        let epoch = self.stacks;
+        self.epoch += 1;
+        let epoch = self.epoch;
         let e0 = self.intern(entries[0].from);
-        self.entry0[e0] += 1;
+        self.win.entry0[e0] += 1;
         let stack_len = entries.len() as u64;
         // A loop iterating under the snapshot fills the stack with runs of
         // the same branch; all per-branch statistics are integers, so one
@@ -342,11 +420,11 @@ impl<'m> LbrStats<'m> {
                 j += 1;
             }
             let id = self.intern(from);
-            self.appearances[id] += (j - i) as u64;
+            self.win.appearances[id] += (j - i) as u64;
             if self.last_stack[id] != epoch {
                 self.last_stack[id] = epoch;
-                self.stacks_containing[id] += 1;
-                self.entries_alongside[id] += stack_len;
+                self.win.stacks_containing[id] += 1;
+                self.win.entries_alongside[id] += stack_len;
             }
             i = j;
         }
@@ -374,11 +452,15 @@ impl<'m> LbrStats<'m> {
             let run = j - i;
             let id = self.pair_id(target, source);
             let pair = &self.pairs[id as usize];
-            self.streams += run as u64;
+            self.win.streams += run as u64;
             if pair.derailed {
-                self.derailed += run as u64;
+                self.win.derailed += run as u64;
             }
-            add_run(&mut self.weight, &self.walks[pair.walk.clone()], w, run);
+            let walk = &self.walks[pair.walk.clone()];
+            match &mut self.whole {
+                Some(whole) => add_run_twice(&mut self.win.weight, &mut whole.weight, walk, w, run),
+                None => add_run(&mut self.win.weight, walk, w, run),
+            }
             let mut left = run;
             while left > 0 {
                 let k = left.min(MAX_RUN);
@@ -390,16 +472,17 @@ impl<'m> LbrStats<'m> {
     }
 
     /// Words in the run log: the accumulator's only term that grows with
-    /// the window's stream rather than with the program.
+    /// the stream (one window's, or the whole stream's with totals kept)
+    /// rather than with the program.
     pub(crate) fn log_words(&self) -> usize {
         self.log.len()
     }
 
     /// Per-block weight of the streams whose source is biased, by block
-    /// index: the run log replayed in observation order.
-    fn replay_biased(&self, branch_biased: &[bool]) -> Vec<f64> {
+    /// index: a slice of the run log replayed in observation order.
+    fn replay_biased(&self, log: &[u32], branch_biased: &[bool]) -> Vec<f64> {
         let mut biased_weight = vec![0.0; self.map.len()];
-        let mut words = self.log.iter();
+        let mut words = log.iter();
         while let Some(&n) = words.next() {
             let w = 1.0 / (n - 1) as f64;
             let mut left = n as usize - 1;
@@ -416,31 +499,52 @@ impl<'m> LbrStats<'m> {
         biased_weight
     }
 
-    /// Judge branch bias from the pass-1 statistics, add up the biased
-    /// weight if any branch is biased, and build the estimate of every
-    /// stack observed since the last call. Afterwards every statistic, the
-    /// pair table and the run log are reset in place, so the accumulator
-    /// (and all its vectors, caches and tables) is ready for the next
-    /// window without reallocating.
+    /// The estimate of every stack observed since the last call (the
+    /// window's). Afterwards the window's statistics are added into the
+    /// whole-stream totals, when kept, and zeroed in place; the interner,
+    /// the pair table and the caches carry over to the next window.
     pub(crate) fn take_estimate(&mut self) -> LbrEstimate {
+        let estimate = self.estimate(&self.win, &self.log[self.log_start..]);
+        match &mut self.whole {
+            Some(whole) => {
+                whole.add_counts(&self.win);
+                self.log_start = self.log.len();
+            }
+            None => self.log.clear(),
+        }
+        self.win.zero();
+        estimate
+    }
+
+    /// The estimate of the whole stream, when its totals are kept. Every
+    /// window, the last one included, must be closed first.
+    pub(crate) fn whole_estimate(&self) -> Option<LbrEstimate> {
+        let whole = self.whole.as_ref()?;
+        Some(self.estimate(whole, &self.log))
+    }
+
+    /// Judge branch bias from `tally`'s pass-1 statistics, add up the
+    /// biased weight over `log` (the same stacks' run log) if any branch
+    /// is biased, and build the estimate.
+    fn estimate(&self, tally: &Tally, log: &[u32]) -> LbrEstimate {
         let map = self.map;
         // Bias judgement per branch (same rule as the seed: occupancy and
         // fair share conditional on presence, §III.C).
-        let mut branch_biased = vec![false; self.entry0.len()];
+        let mut branch_biased = vec![false; tally.entry0.len()];
         let mut biased_branches = HashSet::new();
         for (id, biased) in branch_biased.iter_mut().enumerate() {
-            let total = self.appearances[id];
+            let total = tally.appearances[id];
             // Never-seen branch ids (blocks without sampled terminators)
             // have total = present = 0 and fall through both guards.
             if total < self.options.min_branch_occurrences {
                 continue;
             }
-            let present = self.stacks_containing[id];
-            let alongside = self.entries_alongside[id];
+            let present = tally.stacks_containing[id];
+            let alongside = tally.entries_alongside[id];
             if present == 0 || alongside == 0 {
                 continue;
             }
-            let entry0_share = self.entry0[id] as f64 / present as f64;
+            let entry0_share = tally.entry0[id] as f64 / present as f64;
             let fair_share = total as f64 / alongside as f64;
             if entry0_share - fair_share >= self.options.entry0_excess_threshold {
                 *biased = true;
@@ -452,7 +556,7 @@ impl<'m> LbrStats<'m> {
         let biased_weight = if biased_branches.is_empty() {
             Vec::new()
         } else {
-            self.replay_biased(&branch_biased)
+            self.replay_biased(log, &branch_biased)
         };
 
         let mut dense = DenseBbec::for_map(map);
@@ -460,7 +564,7 @@ impl<'m> LbrStats<'m> {
         let mut biased_weight_fraction = HashMap::new();
         let mut biased_blocks = HashSet::new();
         let mut biased_idx = vec![false; map.len()];
-        for (bi, &w) in self.weight.iter().enumerate() {
+        for (bi, &w) in tally.weight.iter().enumerate() {
             if w == 0.0 {
                 continue;
             }
@@ -478,50 +582,18 @@ impl<'m> LbrStats<'m> {
                 biased_idx[bi] = true;
             }
         }
-        let estimate = LbrEstimate {
+        LbrEstimate {
             bbec,
             dense,
             biased_blocks,
             biased_idx,
             biased_branches,
             biased_weight_fraction,
-            stacks: self.stacks,
-            derailed_streams: self.derailed,
-            streams: self.streams,
+            stacks: tally.stacks,
+            derailed_streams: tally.derailed,
+            streams: tally.streams,
             period: self.period,
-        };
-        self.reset();
-        estimate
-    }
-
-    /// Clear every statistic, the pair table and the run log, keeping
-    /// allocations: the stat vectors shrink back to map length (dropping
-    /// overflow tails), the caches empty, and the epoch counter restarts.
-    fn reset(&mut self) {
-        let n = self.map.len();
-        self.overflow_ids.clear();
-        self.overflow_addrs.clear();
-        for v in [
-            &mut self.entry0,
-            &mut self.appearances,
-            &mut self.stacks_containing,
-            &mut self.entries_alongside,
-            &mut self.last_stack,
-        ] {
-            v.truncate(n);
-            v.fill(0);
         }
-        self.memo = None;
-        self.branch_cache.fill((0, u32::MAX));
-        self.stacks = 0;
-        self.stream_cache.fill(NO_PAIR);
-        self.pair_ids.clear();
-        self.pairs.clear();
-        self.walks.clear();
-        self.weight.fill(0.0);
-        self.log.clear();
-        self.streams = 0;
-        self.derailed = 0;
     }
 }
 
@@ -534,6 +606,20 @@ fn add_run(weight: &mut [f64], walk: &[usize], w: f64, run: usize) {
             acc += w;
         }
         weight[bi] = acc;
+    }
+}
+
+/// [`add_run`] into two weight vectors at once: the window's and the
+/// whole stream's, two independent add chains in one walk.
+fn add_run_twice(win: &mut [f64], whole: &mut [f64], walk: &[usize], w: f64, run: usize) {
+    for &bi in walk {
+        let (mut a, mut b) = (win[bi], whole[bi]);
+        for _ in 0..run {
+            a += w;
+            b += w;
+        }
+        win[bi] = a;
+        whole[bi] = b;
     }
 }
 
@@ -684,6 +770,89 @@ mod tests {
         assert_eq!(est.streams, 1);
         assert_eq!(est.derailed_streams, 1);
         assert!(est.derail_fraction() > 0.99);
+    }
+
+    fn assert_estimate_eq(a: &LbrEstimate, b: &LbrEstimate) {
+        assert_eq!(a.bbec, b.bbec);
+        assert_eq!(a.dense, b.dense);
+        assert_eq!(a.biased_blocks, b.biased_blocks);
+        assert_eq!(a.biased_branches, b.biased_branches);
+        assert_eq!(a.biased_weight_fraction, b.biased_weight_fraction);
+        assert_eq!(
+            (a.stacks, a.streams, a.derailed_streams),
+            (b.stacks, b.streams, b.derailed_streams)
+        );
+    }
+
+    #[test]
+    fn overflow_tallies_do_not_leak_across_windows() {
+        // An overflow source (no block's terminator) seen in window 0 and
+        // again in window 2: each window's tallies count only its own
+        // sightings, each window's estimate equals a fresh run over its
+        // stacks, and the whole-stream totals count both.
+        let fx = fixture();
+        let l = loop_entry(&fx);
+        let x = LbrEntry {
+            from: fx.head_term + 1,
+            to: fx.head_start,
+        };
+        let windows = [
+            vec![vec![x, l, l], vec![x, x, l]],
+            vec![vec![l; 4]],
+            vec![vec![l, x, x, x], vec![x, l]],
+        ];
+        let options = LbrOptions {
+            min_branch_occurrences: 1,
+            ..LbrOptions::default()
+        };
+        let mut stats = LbrStats::new(&fx.map, 100, options.clone());
+        stats.keep_whole();
+        let x_id = fx.map.len();
+        let mut all = PerfData::new();
+        let mut totals = [0u64; 4];
+        for stacks in &windows {
+            let mut alone = PerfData::new();
+            for stack in stacks {
+                stats.observe_stack(stack);
+                alone.push(stack_sample(stack.clone()));
+                all.push(stack_sample(stack.clone()));
+            }
+            assert_eq!(stats.overflow_ids[&x.from], 0, "x keeps its id");
+            let holding: Vec<_> = stacks.iter().filter(|s| s.contains(&x)).collect();
+            let want = [
+                stacks.iter().filter(|s| s[0] == x).count() as u64,
+                stacks.iter().flatten().filter(|&&e| e == x).count() as u64,
+                holding.len() as u64,
+                holding.iter().map(|s| s.len() as u64).sum(),
+            ];
+            let win = &stats.win;
+            let got = [
+                win.entry0[x_id],
+                win.appearances[x_id],
+                win.stacks_containing[x_id],
+                win.entries_alongside[x_id],
+            ];
+            assert_eq!(got, want);
+            for (t, w) in totals.iter_mut().zip(want) {
+                *t += w;
+            }
+            assert_estimate_eq(
+                &stats.take_estimate(),
+                &estimate(&alone, &fx.map, 100, &options),
+            );
+        }
+        let whole = stats.whole.as_ref().unwrap();
+        let got = [
+            whole.entry0[x_id],
+            whole.appearances[x_id],
+            whole.stacks_containing[x_id],
+            whole.entries_alongside[x_id],
+        ];
+        assert_eq!(got, totals);
+        assert_estimate_eq(
+            &stats.whole_estimate().unwrap(),
+            &estimate(&all, &fx.map, 100, &options),
+        );
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //! at a time — straight off a collection session or a
 //! [`hbbp_perf::StreamDecoder`] — and keeps only what estimation
 //! fundamentally requires: per-block and per-branch tallies sized by the
-//! program, a table of the window's distinct branch pairs, and a run log
-//! of one `u32` per run of identical LBR streams (see [`crate::lbr`]). No
-//! LBR stack outlives its sample. The run log is the only term that grows
-//! with the stream; it is cleared when its window closes. Batch analysis
-//! of an in-memory recording ([`crate::Analyzer::analyze_fused`]) is an
-//! unwindowed run of the same driver, borrowing the recording's stacks.
+//! program, a table of the stream's distinct branch pairs (kept across
+//! windows, so each pair is walked once per stream), and a run log of one
+//! `u32` per run of identical LBR streams (see [`crate::lbr`]). No LBR
+//! stack outlives its sample. The run log is the only term that grows
+//! with the stream; it is cleared when its window closes, unless the run
+//! keeps whole-stream totals. Batch analysis of an in-memory recording
+//! ([`crate::Analyzer::analyze_fused`]) is an unwindowed run of the same
+//! driver, borrowing the recording's stacks.
 //!
 //! Wire bytes arrive as zero-copy [`hbbp_perf::RecordView`]s
 //! ([`OnlineAnalyzer::push_view`]): as a [`hbbp_perf::ViewSink`] the
@@ -32,6 +34,14 @@
 //!   window is analyzed exactly as if its records were a recording of
 //!   their own, so per-window results compose into instruction-mix
 //!   **timelines** (see the `mix_timeline` experiment in `hbbp-bench`).
+//!   A windowed run built [`with_whole_stream`] also yields the
+//!   whole-stream analysis ([`OnlineOutcome::whole`]) from the same pass,
+//!   bit-identical to an unwindowed run: the integer tallies of each
+//!   window are added into whole-stream totals when it closes, the LBR
+//!   weights are added to both in the one walk, and the run log spans the
+//!   stream, each window replaying its own slice.
+//!
+//! [`with_whole_stream`]: OnlineAnalyzer::with_whole_stream
 //!
 //! ```
 //! use hbbp_core::{Analyzer, HybridRule, OnlineAnalyzer, SamplingPeriods};
@@ -50,7 +60,7 @@
 
 use crate::ebs::EbsAccum;
 use crate::lbr::LbrStats;
-use crate::{hybrid, Analysis, Analyzer, HybridRule, SamplingPeriods};
+use crate::{hybrid, Analysis, Analyzer, EbsEstimate, HybridRule, LbrEstimate, SamplingPeriods};
 use hbbp_perf::{PerfRecord, PerfSample, RecordSink, RecordView, ViewSink};
 use hbbp_program::MnemonicMix;
 use hbbp_sim::{EventSpec, LbrEntry};
@@ -110,12 +120,18 @@ pub struct OnlineOutcome {
     pub samples_seen: u64,
     /// High-water mark of the LBR run log, in 4-byte words — the
     /// analyzer's only memory term that grows with the stream; bounded by
-    /// the densest window, not the run.
+    /// the densest window, not the run, unless the run keeps whole-stream
+    /// totals, whose log spans the whole stream.
     pub peak_run_log_words: usize,
     /// Windows closed over the whole run, including windows drained early
     /// through [`OnlineAnalyzer::take_closed_windows`] (which
     /// `windows.len()` would miss).
     pub windows_closed: usize,
+    /// The whole-stream analysis of a windowed run built
+    /// [`with_whole_stream`](OnlineAnalyzer::with_whole_stream); `None`
+    /// otherwise. It equals the one window of an unwindowed run over the
+    /// same stream in every field.
+    pub whole: Option<WindowedAnalysis>,
 }
 
 impl OnlineOutcome {
@@ -129,6 +145,45 @@ impl OnlineOutcome {
         let mut windows = self.windows;
         debug_assert_eq!(windows.len(), 1, "unwindowed run emits one window");
         windows.pop().map(|w| w.analysis)
+    }
+
+    /// Take the whole-stream analysis: the one window of an unwindowed
+    /// run, or [`whole`](OnlineOutcome::whole) of a windowed one.
+    pub fn take_whole(&mut self) -> Option<WindowedAnalysis> {
+        if self.windowed {
+            self.whole.take()
+        } else {
+            self.windows.pop()
+        }
+    }
+}
+
+/// Sample tallies and time bounds over a span of samples: one window, or
+/// the whole stream.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    ebs: u64,
+    lbr: u64,
+    first_time: Option<u64>,
+    last_time: u64,
+}
+
+impl Span {
+    fn samples(&self) -> u64 {
+        self.ebs + self.lbr
+    }
+
+    /// First and last sample timestamps, `(0, 0)` when empty.
+    fn bounds(&self) -> (u64, u64) {
+        (self.first_time.unwrap_or(0), self.last_time)
+    }
+
+    /// Extend by the span that follows this one.
+    fn extend(&mut self, next: &Span) {
+        self.ebs += next.ebs;
+        self.lbr += next.lbr;
+        self.first_time = self.first_time.or(next.first_time);
+        self.last_time = next.last_time;
     }
 }
 
@@ -150,12 +205,10 @@ pub struct OnlineAnalyzer<'a> {
     lbr: LbrStats<'a>,
     /// Reused buffer for the LBR entries of a wire sample.
     scratch: Vec<LbrEntry>,
-    // Current-window bookkeeping.
-    win_samples: u64,
-    win_ebs: u64,
-    win_lbr: u64,
-    win_first_time: Option<u64>,
-    win_last_time: u64,
+    /// The current window's samples.
+    win: Span,
+    /// The whole stream's samples, when whole-stream totals are kept.
+    whole: Option<Span>,
     /// For [`Window::TimeCycles`]: the `t / width` key of the current
     /// window, set by its first sample.
     time_key: Option<u64>,
@@ -188,11 +241,8 @@ impl<'a> OnlineAnalyzer<'a> {
             ebs_event: EventSpec::inst_retired_prec_dist(),
             lbr_event: EventSpec::br_inst_retired_near_taken(),
             scratch: Vec::new(),
-            win_samples: 0,
-            win_ebs: 0,
-            win_lbr: 0,
-            win_first_time: None,
-            win_last_time: 0,
+            win: Span::default(),
+            whole: None,
             time_key: None,
             windows: Vec::new(),
             emitted: 0,
@@ -213,6 +263,25 @@ impl<'a> OnlineAnalyzer<'a> {
             Window::TimeCycles(w) => assert!(w > 0, "window needs a nonzero width"),
         }
         self.window = Some(window);
+        self
+    }
+
+    /// Also produce the whole-stream analysis of this windowed run
+    /// ([`OnlineOutcome::whole`]), from the same pass that closes the
+    /// windows: one record is looked up, walked and weighed once for
+    /// both. The price is the whole stream's tallies beside the window's,
+    /// and a run log that spans the stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unwindowed analyzer, whose one window already is the
+    /// whole stream, or after the first record.
+    pub fn with_whole_stream(mut self) -> OnlineAnalyzer<'a> {
+        assert!(self.window.is_some(), "whole-stream totals need a window");
+        assert_eq!(self.records_seen, 0, "whole-stream totals start empty");
+        self.ebs.keep_whole();
+        self.lbr.keep_whole();
+        self.whole = Some(Span::default());
         self
     }
 
@@ -272,14 +341,13 @@ impl<'a> OnlineAnalyzer<'a> {
         }
         self.roll_window(time_cycles);
         self.samples_seen += 1;
-        self.win_samples += 1;
-        self.win_first_time.get_or_insert(time_cycles);
-        self.win_last_time = time_cycles;
+        self.win.first_time.get_or_insert(time_cycles);
+        self.win.last_time = time_cycles;
         if is_ebs {
-            self.win_ebs += 1;
+            self.win.ebs += 1;
             self.ebs.observe_ip(ip);
         } else {
-            self.win_lbr += 1;
+            self.win.lbr += 1;
             self.lbr.observe_stack(stack);
             self.peak_run_log_words = self.peak_run_log_words.max(self.lbr.log_words());
         }
@@ -289,11 +357,11 @@ impl<'a> OnlineAnalyzer<'a> {
     fn roll_window(&mut self, time: u64) {
         match self.window {
             None => {}
-            Some(Window::Samples(n)) if self.win_samples >= n => self.close_window(),
+            Some(Window::Samples(n)) if self.win.samples() >= n => self.close_window(),
             Some(Window::Samples(_)) => {}
             Some(Window::TimeCycles(width)) => {
                 let key = time / width;
-                if self.win_samples > 0 && self.time_key != Some(key) {
+                if self.win.samples() > 0 && self.time_key != Some(key) {
                     self.close_window();
                 }
                 self.time_key = Some(key);
@@ -302,15 +370,13 @@ impl<'a> OnlineAnalyzer<'a> {
     }
 
     /// Finish the current accumulators into a [`WindowedAnalysis`] and
-    /// reset them in place — accumulator tallies, caches and the run log
-    /// are recycled into the next window instead of being reallocated per
-    /// window.
+    /// reset them in place — accumulator tallies are recycled into the
+    /// next window instead of being reallocated per window, and kept
+    /// whole-stream totals take the window's in.
     fn close_window(&mut self) {
-        let map = self.analyzer.map();
         let ebs = self.ebs.take_estimate();
         let lbr = self.lbr.take_estimate();
-        let hbbp = hybrid::combine(map, &ebs, &lbr, &self.rule);
-        let analysis = Analysis { ebs, lbr, hbbp };
+        let analysis = self.combine(ebs, lbr);
         let mix = if self.window.is_some() {
             self.analyzer.mix(&analysis.hbbp.bbec)
         } else {
@@ -320,34 +386,56 @@ impl<'a> OnlineAnalyzer<'a> {
             (Some(Window::TimeCycles(width)), Some(key)) => {
                 (key * width, key.saturating_add(1).saturating_mul(width))
             }
-            _ => (self.win_first_time.unwrap_or(0), self.win_last_time),
+            _ => self.win.bounds(),
         };
         self.windows.push(WindowedAnalysis {
             index: self.emitted,
             start_cycles,
             end_cycles,
-            ebs_samples: self.win_ebs,
-            lbr_samples: self.win_lbr,
+            ebs_samples: self.win.ebs,
+            lbr_samples: self.win.lbr,
             analysis,
             mix,
         });
         self.emitted += 1;
-        self.win_samples = 0;
-        self.win_ebs = 0;
-        self.win_lbr = 0;
-        self.win_first_time = None;
-        self.win_last_time = 0;
+        if let Some(whole) = &mut self.whole {
+            whole.extend(&self.win);
+        }
+        self.win = Span::default();
         self.time_key = None;
+    }
+
+    fn combine(&self, ebs: EbsEstimate, lbr: LbrEstimate) -> Analysis {
+        let hbbp = hybrid::combine(self.analyzer.map(), &ebs, &lbr, &self.rule);
+        Analysis { ebs, lbr, hbbp }
+    }
+
+    /// The whole-stream analysis from the kept totals, laid out as an
+    /// unwindowed run's one window. Every window must be closed first.
+    fn whole_window(&self) -> Option<WindowedAnalysis> {
+        let span = self.whole?;
+        let analysis = self.combine(self.ebs.whole_estimate()?, self.lbr.whole_estimate()?);
+        let (start_cycles, end_cycles) = span.bounds();
+        Some(WindowedAnalysis {
+            index: 0,
+            start_cycles,
+            end_cycles,
+            ebs_samples: span.ebs,
+            lbr_samples: span.lbr,
+            analysis,
+            mix: MnemonicMix::new(),
+        })
     }
 
     /// End the stream: close the open window (an unwindowed run always
     /// emits its single whole-stream window, even when empty) and return
     /// everything produced.
     pub fn finish(mut self) -> OnlineOutcome {
-        if self.window.is_none() || self.win_samples > 0 {
+        if self.window.is_none() || self.win.samples() > 0 {
             self.close_window();
         }
         OnlineOutcome {
+            whole: self.whole_window(),
             windows: self.windows,
             windowed: self.window.is_some(),
             records_seen: self.records_seen,

@@ -9,7 +9,9 @@
 //! exactly its slice. The fused zero-copy ingest
 //! ([`StreamDecoder::decode_into`] driving [`OnlineAnalyzer::push_view`])
 //! must match the owned `next_record` → [`RecordSink`] path bit-for-bit on
-//! the same byte stream, windowed and unwindowed alike.
+//! the same byte stream, windowed and unwindowed alike. A windowed run that
+//! keeps whole-stream totals must yield, from its one pass, both the
+//! windowed-only run's windows and the unwindowed run's analysis.
 
 use hbbp_core::{Analyzer, HybridRule, LbrOptions, OnlineAnalyzer, SamplingPeriods, Window};
 use hbbp_isa::instruction::build;
@@ -515,6 +517,87 @@ proptest! {
             assert_analysis_eq(&w.analysis, &slice_seed);
         }
         prop_assert!(remaining.is_empty());
+    }
+
+    /// One windowed pass with whole-stream totals, under random wire
+    /// chunking and drained as it goes: its whole-stream analysis ≡ an
+    /// unwindowed run ≡ `analyze_fused`, and its windows ≡ a windowed-only
+    /// run's. Random stacks bring overflow sources and derailed streams,
+    /// loop stacks bring long runs, and the loose bias options make both
+    /// the windows and the whole stream replay the run log.
+    #[test]
+    fn windowed_pass_also_yields_the_whole_stream(
+        bodies in proptest::collection::vec(1usize..28, 1..4),
+        ips in proptest::collection::vec(0usize..4096, 0..80),
+        stacks in arb_stacks(),
+        loops in arb_loop_stacks(),
+        cuts in proptest::collection::vec(0usize..1_000_000, 0..8),
+        window in prop_oneof![
+            (1u64..40).prop_map(Window::Samples),
+            (1u64..600).prop_map(Window::TimeCycles),
+        ],
+        cutoff in 0usize..40,
+    ) {
+        let fx = fixture(&bodies);
+        let mut all = stacks;
+        all.extend(loop_stacks(&fx, &loops));
+        let data = build_data(&fx, &ips, &all);
+        let analyzer = analyzer_for(&fx);
+        let periods = SamplingPeriods { ebs: 733, lbr: 211 };
+        let rule = HybridRule::LengthCutoff(cutoff);
+        let bytes = codec::write(&data);
+        let mut points: Vec<usize> = cuts.iter().map(|&c| c % bytes.len()).collect();
+        points.sort_unstable();
+        points.dedup();
+        points.push(bytes.len());
+        let run = |mut online: OnlineAnalyzer<'_>| {
+            let mut decoder = StreamDecoder::new();
+            let mut drained = Vec::new();
+            let mut prev = 0;
+            for &p in &points {
+                decoder.feed(&bytes[prev..p]);
+                decoder.decode_into(&mut online).expect("valid stream");
+                drained.extend(online.take_closed_windows());
+                prev = p;
+            }
+            decoder.finish().expect("clean end of stream");
+            let mut outcome = online.finish();
+            drained.append(&mut outcome.windows);
+            outcome.windows = drained;
+            outcome
+        };
+        let new = || OnlineAnalyzer::new(&analyzer, periods, rule.clone());
+        let combined = run(new().with_window(window).with_whole_stream());
+        let windowed = run(new().with_window(window));
+        let mut unwindowed = run(new());
+
+        let whole = combined.whole.as_ref().expect("whole-stream totals kept");
+        let single = unwindowed.take_whole().expect("unwindowed run");
+        prop_assert_eq!(whole.index, single.index);
+        prop_assert_eq!(whole.start_cycles, single.start_cycles);
+        prop_assert_eq!(whole.end_cycles, single.end_cycles);
+        prop_assert_eq!(whole.ebs_samples, single.ebs_samples);
+        prop_assert_eq!(whole.lbr_samples, single.lbr_samples);
+        prop_assert_eq!(&whole.mix, &single.mix);
+        assert_analysis_eq(&whole.analysis, &single.analysis);
+        assert_analysis_eq(&whole.analysis, &analyzer.analyze_fused(&data, periods, &rule));
+
+        prop_assert!(windowed.whole.is_none());
+        prop_assert_eq!(combined.windows.len(), windowed.windows.len());
+        prop_assert_eq!(combined.windows_closed, windowed.windows_closed);
+        for (c, w) in combined.windows.iter().zip(&windowed.windows) {
+            prop_assert_eq!(c.index, w.index);
+            prop_assert_eq!(c.start_cycles, w.start_cycles);
+            prop_assert_eq!(c.end_cycles, w.end_cycles);
+            prop_assert_eq!(c.ebs_samples, w.ebs_samples);
+            prop_assert_eq!(c.lbr_samples, w.lbr_samples);
+            assert_analysis_eq(&c.analysis, &w.analysis);
+            prop_assert_eq!(&c.mix, &w.mix);
+        }
+        prop_assert_eq!(combined.records_seen, unwindowed.records_seen);
+        prop_assert_eq!(combined.samples_seen, unwindowed.samples_seen);
+        // The combined run's log spans the stream, as an unwindowed one's.
+        prop_assert_eq!(combined.peak_run_log_words, unwindowed.peak_run_log_words);
     }
 
     /// Time windows also partition the stream (bounds disjoint, ordered,

@@ -15,19 +15,21 @@
 //!
 //! Each [`OP_STREAM`](crate::wire::OP_STREAM) connection is decoded
 //! incrementally (strict [`hbbp_perf::StreamDecoder`], tolerant of
-//! partial reads at any byte boundary) and fed through **two** online
-//! analyzers:
+//! partial reads at any byte boundary) and fed through **one**
+//! [`hbbp_core::OnlineAnalyzer`], which yields both of its outputs from
+//! the one pass:
 //!
-//! * an unwindowed [`hbbp_core::OnlineAnalyzer`] — its whole-stream
-//!   analysis is bit-identical to `Analyzer::analyze_fused` over the
-//!   same recording (pinned in `hbbp-core`), and becomes the
-//!   connection's counts frame at end of stream. This is what makes a
-//!   queried aggregate bit-identical to folding single-process batch
-//!   analyses;
-//! * optionally a windowed one, whose closed windows are drained through
-//!   [`hbbp_core::OnlineAnalyzer::take_closed_windows`] and flushed into
-//!   the store **while the stream is still running** — the timeline
-//!   survives even if the daemon is killed mid-connection.
+//! * the whole-stream analysis — bit-identical to
+//!   `Analyzer::analyze_fused` over the same recording (pinned in
+//!   `hbbp-core`), it becomes the connection's counts frame at end of
+//!   stream. This is what makes a queried aggregate bit-identical to
+//!   folding single-process batch analyses. A windowed daemon builds
+//!   the analyzer [`with_whole_stream`](hbbp_core::OnlineAnalyzer::with_whole_stream),
+//!   so each window's tallies also go into whole-stream totals;
+//! * when the daemon keeps a timeline, the closed windows, drained
+//!   through [`hbbp_core::OnlineAnalyzer::take_closed_windows`] and
+//!   flushed into the store **while the stream is still running** — the
+//!   timeline survives even if the daemon is killed mid-connection.
 //!
 //! A connection that errors (corrupt stream, truncated tail from a dying
 //! client) contributes no **counts**: the COUNTS frame is written only

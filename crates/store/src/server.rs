@@ -51,7 +51,7 @@ use crate::wire::{
 use crate::writer::{Reply, ShardStats, WriterMsg};
 use hbbp_core::{MixDrift, OnlineAnalyzer, OnlineOutcome, WindowedAnalysis};
 use hbbp_obs::{Counter, Gauge, Histogram, Metrics};
-use hbbp_perf::{RecordView, StreamDecoder, StreamStats, ViewSink};
+use hbbp_perf::{StreamDecoder, StreamStats};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::Ordering;
@@ -208,8 +208,9 @@ enum SnapQuery {
 struct Ingest<'a> {
     source: u32,
     decoder: StreamDecoder,
-    whole: OnlineAnalyzer<'a>,
-    windowed: Option<OnlineAnalyzer<'a>>,
+    /// The stream's one analyzer: windowed (with whole-stream totals for
+    /// the counts frame) when the daemon keeps a timeline.
+    online: OnlineAnalyzer<'a>,
     /// Closed windows not yet accepted by the shard writer.
     pending_windows: Vec<WindowRecord>,
     windows_flushed: u32,
@@ -476,18 +477,15 @@ impl<'a> Conn<'a> {
                     return;
                 }
                 let shared = ctx.shared;
+                let online =
+                    OnlineAnalyzer::new(&shared.analyzer, shared.periods, shared.rule.clone());
                 let mut ingest = Box::new(Ingest {
                     source,
                     decoder: StreamDecoder::new(),
-                    whole: OnlineAnalyzer::new(
-                        &shared.analyzer,
-                        shared.periods,
-                        shared.rule.clone(),
-                    ),
-                    windowed: shared.window.map(|w| {
-                        OnlineAnalyzer::new(&shared.analyzer, shared.periods, shared.rule.clone())
-                            .with_window(w)
-                    }),
+                    online: match shared.window {
+                        Some(w) => online.with_window(w).with_whole_stream(),
+                        None => online,
+                    },
                     pending_windows: Vec::new(),
                     windows_flushed: 0,
                     parked: false,
@@ -559,46 +557,26 @@ impl<'a> Conn<'a> {
     }
 
     /// Decode everything buffered in the stream decoder into the online
-    /// analyzers and collect any windows that closed.
+    /// analyzer and collect any windows that closed.
     ///
     /// Ingest goes through the fused zero-copy path: the decoder drives
-    /// both analyzers with borrowed [`RecordView`]s, so sample records —
-    /// the bulk of any stream — are never materialized as owned
+    /// the analyzer with borrowed [`hbbp_perf::RecordView`]s, so sample
+    /// records — the bulk of any stream — are never materialized as owned
     /// `PerfRecord`s. Results are pinned bit-identical to the owned
     /// `next_record` → `RecordSink` path by the core property suite.
     fn pump_decoder(&mut self, ctx: &WorkerCtx<'a>) -> Result<(), String> {
         let ConnState::Ingest(ingest) = &mut self.state else {
             unreachable!("pump_decoder outside Ingest");
         };
-        /// Fans each view to the windowed analyzer (when present), then
-        /// the whole-stream one — same order as the owned path did.
-        struct Fanout<'s, 'a> {
-            whole: &'s mut OnlineAnalyzer<'a>,
-            windowed: Option<&'s mut OnlineAnalyzer<'a>>,
-        }
-        impl ViewSink for Fanout<'_, '_> {
-            fn view(&mut self, view: &RecordView<'_>) {
-                if let Some(w) = self.windowed.as_deref_mut() {
-                    w.push_view(view);
-                }
-                self.whole.push_view(view);
-            }
-        }
-        let mut sink = Fanout {
-            whole: &mut ingest.whole,
-            windowed: ingest.windowed.as_mut(),
-        };
         ingest
             .decoder
-            .decode_into(&mut sink)
+            .decode_into(&mut ingest.online)
             .map_err(|e| format!("perf stream: {e}"))?;
-        if let Some(w) = &mut ingest.windowed {
-            let source = ingest.source;
-            let closed = w.take_closed_windows().into_iter();
-            ingest
-                .pending_windows
-                .extend(closed.map(|c| window_record(source, c)));
-        }
+        let source = ingest.source;
+        let closed = ingest.online.take_closed_windows().into_iter();
+        ingest
+            .pending_windows
+            .extend(closed.map(|c| window_record(source, c)));
         self.flush_windows(ctx);
         Ok(())
     }
@@ -693,14 +671,16 @@ impl<'a> Conn<'a> {
         metrics.add(Counter::DecoderUnknownSkipped, stats.unknown_skipped);
     }
 
-    /// Fold the windowed analyzer's outcome into the registry. The
-    /// unwindowed analyzer is not harvested: it "closes" a single
+    /// Fold a windowed analyzer's outcome into the registry. An
+    /// unwindowed outcome is not harvested: it "closes" a single
     /// whole-stream pseudo-window that is not a timeline event.
     fn harvest_windows(metrics: &Metrics, outcome: &OnlineOutcome) {
-        metrics.add(Counter::AnalyzerWindowCloses, outcome.windows_closed as u64);
+        if outcome.windowed {
+            metrics.add(Counter::AnalyzerWindowCloses, outcome.windows_closed as u64);
+        }
     }
 
-    /// End of stream: close the analyzers and hand everything to the
+    /// End of stream: close the analyzer and hand everything to the
     /// shard writer via [`ConnState::Commit`].
     fn finish_ingest(&mut self, ctx: &WorkerCtx<'a>) {
         let ConnState::Ingest(ingest) = std::mem::replace(&mut self.state, ConnState::Done) else {
@@ -709,8 +689,7 @@ impl<'a> Conn<'a> {
         let Ingest {
             source,
             decoder,
-            whole,
-            windowed,
+            online,
             mut pending_windows,
             windows_flushed,
             parked: _,
@@ -728,39 +707,34 @@ impl<'a> Conn<'a> {
                 // written, so the aggregate cannot see a partial
                 // recording. The registry still accounts for the work.
                 Self::harvest_stream(&metrics, &partial);
-                if let Some(w) = windowed {
-                    Self::harvest_windows(&metrics, &w.finish());
-                }
+                Self::harvest_windows(&metrics, &online.finish());
                 self.respond_err(&format!("perf stream: {e}"));
                 return;
             }
         }
-        let outcome = whole.finish();
-        let records = outcome.records_seen;
-        let samples = outcome.samples_seen;
-        let mut windows = outcome.windows;
-        let whole_window = windows.pop().expect("unwindowed run emits one window");
-        if let Some(w) = windowed {
-            let windowed_outcome = w.finish();
-            Self::harvest_windows(&metrics, &windowed_outcome);
-            let closed = windowed_outcome.windows.into_iter();
-            pending_windows.extend(closed.map(|c| window_record(source, c)));
-        }
+        let mut outcome = online.finish();
+        Self::harvest_windows(&metrics, &outcome);
+        let whole = outcome
+            .take_whole()
+            .expect("the analyzer yields its whole-stream analysis");
+        // Left only in a windowed outcome: the last windows closed.
+        let closed = outcome.windows.into_iter();
+        pending_windows.extend(closed.map(|c| window_record(source, c)));
         let (tx, rx) = std::sync::mpsc::channel();
         let reply = Reply::fan(&tx, ctx.bell, 1).pop().expect("one reply");
         self.state = ConnState::Commit(Box::new(CommitState {
             windows: pending_windows,
             counts: Some(WriterMsg::Counts {
                 source,
-                ebs_samples: whole_window.ebs_samples,
-                lbr_samples: whole_window.lbr_samples,
-                bbec: whole_window.analysis.hbbp.bbec,
+                ebs_samples: whole.ebs_samples,
+                lbr_samples: whole.lbr_samples,
+                bbec: whole.analysis.hbbp.bbec,
                 reply,
             }),
             shard: ctx.shard_of(source),
             rx,
-            records,
-            samples,
+            records: outcome.records_seen,
+            samples: outcome.samples_seen,
             windows_flushed,
         }));
         self.tick_commit(ctx);
@@ -1261,8 +1235,7 @@ mod tests {
         conn.state = ConnState::Ingest(Box::new(Ingest {
             source: 0,
             decoder: StreamDecoder::new(),
-            whole: OnlineAnalyzer::new(&shared.analyzer, shared.periods, shared.rule.clone()),
-            windowed: None,
+            online: OnlineAnalyzer::new(&shared.analyzer, shared.periods, shared.rule.clone()),
             pending_windows: (0..WINDOW_HIGH_WATER as u32).map(window_record).collect(),
             windows_flushed: 0,
             parked: false,

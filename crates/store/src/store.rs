@@ -7,6 +7,8 @@
 //! can only damage the **tail**, and [`ProfileStore::open`] recovers by
 //! truncating at the first frame that fails its checksum or ends early —
 //! the file-layer version of the perf stream decoder's resilience.
+//! [`ProfileStore::open_read_only`] replays the same valid prefix but
+//! leaves the tail, and the file, as they are.
 //!
 //! ## What stays in memory
 //!
@@ -158,8 +160,9 @@ fn log_changed() -> StoreError {
 pub struct OpenReport {
     /// Frames recovered (all types, including skipped unknown ones).
     pub frames: usize,
-    /// Bytes cut off the tail (torn write / corruption); 0 for a clean
-    /// open.
+    /// Bytes past the valid log (torn write / corruption): cut off by
+    /// [`ProfileStore::open`], left in place by
+    /// [`ProfileStore::open_read_only`]; 0 for a clean open.
     pub truncated_bytes: u64,
     /// Whether the file existed before this open.
     pub existed: bool,
@@ -469,6 +472,9 @@ pub struct ProfileStore {
     counts_frames: u64,
     window_frames: u64,
     next_seq: HashMap<u32, u32>,
+    /// Whether the file was opened for writing; a read-only store refuses
+    /// to compact (its appends fail at the file handle).
+    writable: bool,
     /// Epoch stamped onto the next counts/window append.
     current_epoch: u32,
     /// Highest epoch whose boundary marker is in the log (or pending
@@ -494,11 +500,31 @@ impl ProfileStore {
     /// version. Corruption is **not** an error — it is truncated away and
     /// reported in [`ProfileStore::open_report`].
     pub fn open(path: impl AsRef<Path>) -> Result<ProfileStore, StoreError> {
-        let path = path.as_ref().to_path_buf();
+        ProfileStore::replay(path.as_ref(), true)
+    }
+
+    /// Open the existing store at `path` for reading only: the replay of
+    /// [`ProfileStore::open`], which stops at the same frame, but the
+    /// file is never created, cut or written, so a reader may open a
+    /// store that a live writer is appending to. A torn tail is ignored
+    /// and reported in [`ProfileStore::open_report`]. Appends to the
+    /// store fail with an I/O error, and so does a compaction.
+    ///
+    /// # Errors
+    ///
+    /// As [`ProfileStore::open`], and a missing file is an I/O error.
+    pub fn open_read_only(path: impl AsRef<Path>) -> Result<ProfileStore, StoreError> {
+        ProfileStore::replay(path.as_ref(), false)
+    }
+
+    /// The one replay body behind both opens; only a `writable` open
+    /// creates the file, rewrites a torn header and truncates a torn tail.
+    fn replay(path: &Path, writable: bool) -> Result<ProfileStore, StoreError> {
+        let path = path.to_path_buf();
         let file = OpenOptions::new()
             .read(true)
-            .write(true)
-            .create(true)
+            .write(writable)
+            .create(writable)
             .truncate(false)
             .open(&path)?;
         let file_len = file.metadata()?.len();
@@ -513,6 +539,7 @@ impl ProfileStore {
             counts_frames: 0,
             window_frames: 0,
             next_seq: HashMap::new(),
+            writable,
             current_epoch: 0,
             marked_epoch: 0,
             report: OpenReport {
@@ -534,11 +561,13 @@ impl ProfileStore {
                 return Err(StoreError::NotAStore);
             }
             store.report.truncated_bytes = file_len;
-            store.file.set_len(0)?;
-            store.file.seek(SeekFrom::Start(0))?;
-            store.file.write_all(MAGIC)?;
-            store.file.write_all(&VERSION.to_le_bytes())?;
-            store.file.flush()?;
+            if writable {
+                store.file.set_len(0)?;
+                store.file.seek(SeekFrom::Start(0))?;
+                store.file.write_all(MAGIC)?;
+                store.file.write_all(&VERSION.to_le_bytes())?;
+                store.file.flush()?;
+            }
             return Ok(store);
         }
         if &header[..MAGIC.len()] != MAGIC {
@@ -549,7 +578,8 @@ impl ProfileStore {
             return Err(StoreError::BadVersion(version));
         }
 
-        // Replay frames; stop (and truncate) at the first bad one.
+        // Replay frames; stop (and truncate, if writable) at the first bad
+        // one.
         let mut log = LogReader::new(store.len, file_len);
         'replay: while let Some(bytes) = log.next(&store.file)? {
             // Windows are only counted: check one without decoding it.
@@ -586,8 +616,10 @@ impl ProfileStore {
             }
         }
         store.report.truncated_bytes = file_len - store.len;
-        store.file.set_len(store.len)?;
-        store.file.seek(SeekFrom::Start(store.len))?;
+        if writable {
+            store.file.set_len(store.len)?;
+            store.file.seek(SeekFrom::Start(store.len))?;
+        }
         Ok(store)
     }
 
@@ -1121,9 +1153,15 @@ impl ProfileStore {
     /// # Errors
     ///
     /// [`StoreError::MissingIdentity`] on an identity-less store; I/O
-    /// errors from reading the old log or writing, syncing or renaming
-    /// the temp file.
+    /// errors on a store opened read-only, or from reading the old log or
+    /// writing, syncing or renaming the temp file.
     pub fn compact(&mut self) -> Result<(), StoreError> {
+        if !self.writable {
+            return Err(StoreError::Io(io::Error::new(
+                io::ErrorKind::PermissionDenied,
+                "a store opened read-only cannot be compacted",
+            )));
+        }
         let Some(identity) = self.identity.clone() else {
             return Err(StoreError::MissingIdentity);
         };
