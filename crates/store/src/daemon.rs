@@ -6,11 +6,15 @@
 //! Linux only), and one single-writer thread per store shard (the
 //! `writer` module). Nothing polls on a timer: a worker wakes only when
 //! a socket it watches is ready or its doorbell rings — the acceptor
-//! rings it after queueing a connection, a writer after answering it.
+//! rings it after queueing a connection, a writer after answering an
+//! ingest, `STATS` or `COMPACT`.
 //! There is no `Mutex<ProfileStore>` anywhere — each shard file
 //! (`part-<i>.hbbp`, shard = `source % shards`) is owned outright by
 //! its writer, which drains a bounded queue and group-commits batched
-//! appends as single file writes.
+//! appends as single file writes. What readers share is each writer's
+//! published running sums (one slot per shard in [`Shared`]), which a
+//! worker reads to answer `QUERY_MIX`, `QUERY_TOP`, `EPOCHS` and
+//! `DRIFT` without messaging a writer.
 //! `docs/DAEMON.md` is the spec for this concurrency model.
 //!
 //! Each [`OP_STREAM`](crate::wire::OP_STREAM) connection is decoded
@@ -53,7 +57,7 @@ use crate::poll::{Doorbell, Interest, Poller};
 use crate::server::{worker_loop, BELL_TOKEN};
 use crate::store::{ProfileStore, StoreError};
 use crate::wire::{StoreClient, WireError};
-use crate::writer::{writer_loop, WriterMsg};
+use crate::writer::{writer_loop, PublishedSums, WriterMsg};
 use hbbp_core::{Analyzer, HybridRule, SamplingPeriods, Window};
 use hbbp_obs::{Counter, Metrics};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -119,6 +123,8 @@ pub(crate) struct Shared {
     pub(crate) addr: SocketAddr,
     pub(crate) shutdown: AtomicBool,
     pub(crate) metrics: Metrics,
+    /// Each shard writer's published running sums, indexed by shard.
+    pub(crate) sums: Vec<Arc<PublishedSums>>,
 }
 
 /// A running daemon: join handle plus the bound address.
@@ -232,15 +238,18 @@ pub fn spawn(config: DaemonConfig) -> Result<DaemonHandle, StoreError> {
         Metrics::disabled()
     };
     let mut shard_txs: Vec<SyncSender<WriterMsg>> = Vec::new();
+    let mut sums: Vec<Arc<PublishedSums>> = Vec::new();
     let mut writers: Vec<JoinHandle<()>> = Vec::new();
     for i in 0..config.shards.max(1) {
         let path = config.dir.join(format!("part-{i}.hbbp"));
         let store = ProfileStore::open_with_identity(path, config.identity.clone())?;
         let (tx, rx) = std::sync::mpsc::sync_channel(queue_depth);
         shard_txs.push(tx);
+        let published = Arc::new(PublishedSums::new(&store));
+        sums.push(Arc::clone(&published));
         let writer_metrics = metrics.clone();
         writers.push(std::thread::spawn(move || {
-            writer_loop(store, rx, writer_metrics, i)
+            writer_loop(store, rx, published, writer_metrics, i)
         }));
     }
 
@@ -257,6 +266,7 @@ pub fn spawn(config: DaemonConfig) -> Result<DaemonHandle, StoreError> {
         addr,
         shutdown: AtomicBool::new(false),
         metrics: metrics.clone(),
+        sums,
     });
 
     // Every worker's epoll set and doorbell exist before any worker

@@ -14,12 +14,16 @@
 //!   using small and large superaccumulators", arXiv:1505.05571): a
 //!   fixed-point integer in 32-bit chunks held in `i64`s, exact for every
 //!   finite input, with no intermediate overflow. This is what a running
-//!   sum and a query-time combination add into.
+//!   sum and a query-time combination add into, and how an epoch still
+//!   taking frames is read: two superaccumulators merge chunk by chunk
+//!   ([`ExactSum::merge`]), so a shard's open epoch reaches a reader
+//!   without a rounding step.
 //! * An **expansion** (Shewchuk, "Adaptive precision floating-point
 //!   arithmetic and fast robust geometric predicates", 1997): a short
 //!   list of `f64` terms whose exact sum is the value. This is how a
-//!   sealed epoch is kept, how a shard's partials travel to the gathering
-//!   worker, and what `compact` writes to the log. The expansion of a
+//!   sealed epoch is kept (a few words per block, where a
+//!   superaccumulator takes 544 bytes) and what `compact` writes to the
+//!   log. The expansion of a
 //!   value is canonical — the greedy rounding: term 0 is the value
 //!   rounded to nearest (clamped to `±f64::MAX`), term 1 rounds what is
 //!   left, and so on until nothing is — so term 0 is the rounded sum
@@ -132,6 +136,41 @@ impl ExactSum {
                 self.hi = self.hi.max(k + i);
             }
         }
+    }
+
+    /// Add another exact sum, chunk by chunk: the result is exact, as if
+    /// every value added to `other` had been added here.
+    ///
+    /// A normalized chunk holds less than 2^32 and each add moves it by
+    /// less than 2^32, so a chunk of a sum with `adds` adds stays below
+    /// `2^32 (adds + 1)`. The merged chunks stay below
+    /// `2^32 (adds + other.adds + 2)`, which counts as `adds + other.adds
+    /// + 1` adds; either side is normalized first when that would pass
+    /// [`NORMALIZE_EVERY`].
+    pub(crate) fn merge(&mut self, other: &ExactSum) {
+        if let Some(nan) = other.nan {
+            self.nan = Some(self.nan.map_or(nan, |n| n.min(nan)));
+        }
+        self.pos_inf |= other.pos_inf;
+        self.neg_inf |= other.neg_inf;
+        if other.lo > other.hi {
+            return;
+        }
+        if self.adds + other.adds >= NORMALIZE_EVERY {
+            self.normalize();
+            if other.adds >= NORMALIZE_EVERY {
+                // Merging specials again changes nothing.
+                let mut copy = other.clone();
+                copy.normalize();
+                return self.merge(&copy);
+            }
+        }
+        for i in other.lo..=other.hi {
+            self.chunks[i] += other.chunks[i];
+        }
+        self.lo = self.lo.min(other.lo);
+        self.hi = self.hi.max(other.hi);
+        self.adds += other.adds + 1;
     }
 
     /// Propagate carries so every chunk but the topmost nonzero one holds
@@ -390,8 +429,13 @@ impl BlockSums {
         });
     }
 
+    /// Add another table's exact sums, block by block.
+    pub(crate) fn add_sums(&mut self, other: &BlockSums) {
+        self.add_sorted(other.blocks.iter().map(|(a, s)| (*a, s)), ExactSum::merge);
+    }
+
     /// Each block's sum, rounded: a block is present exactly when some
-    /// added table or expansion carried it.
+    /// added table, expansion or sum carried it.
     pub(crate) fn round(&self) -> Bbec {
         let mut bbec = Bbec::new();
         for (addr, sum) in &self.blocks {
@@ -518,5 +562,61 @@ mod tests {
             s.add(-f64::MAX);
         }
         assert_eq!(s.round(), -7.5);
+    }
+
+    fn exact(values: &[f64]) -> ExactSum {
+        let mut s = ExactSum::default();
+        for &v in values {
+            s.add(v);
+        }
+        s
+    }
+
+    #[test]
+    fn merges_add_exactly_and_keep_the_specials() {
+        let nan_a = f64::from_bits(0x7FF0_0000_0000_0002);
+        let nan_b = f64::from_bits(0x7FF8_0000_0000_0001);
+        let cases: [&[f64]; 4] = [
+            &[
+                0.1,
+                0.2,
+                1e300,
+                -1e300,
+                7e-310,
+                -3.5,
+                1e-30,
+                f64::MAX,
+                f64::MAX,
+            ],
+            &[nan_a, 1.0, nan_b, 2.0],
+            &[f64::INFINITY, 1.0, f64::NEG_INFINITY],
+            &[-0.0, 1.0, -1.0],
+        ];
+        for values in cases {
+            for cut in 0..=values.len() {
+                let (a, b) = values.split_at(cut);
+                let mut merged = exact(a);
+                merged.merge(&exact(b));
+                assert_eq!(
+                    merged.round().to_bits(),
+                    sum(values).to_bits(),
+                    "{values:?} cut at {cut}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn merges_normalize_before_the_chunks_could_overflow() {
+        // Either side near the add budget: this side alone, or both.
+        for (mine, theirs) in [(NORMALIZE_EVERY - 1, 1), (NORMALIZE_EVERY, NORMALIZE_EVERY)] {
+            let mut a = exact(&[f64::MAX, -1.5, f64::MAX]);
+            a.adds = mine;
+            let mut b = exact(&[f64::MAX, -f64::MAX, -f64::MAX, 0.25]);
+            b.adds = theirs;
+            a.merge(&b);
+            assert!(a.adds <= NORMALIZE_EVERY, "{} adds", a.adds);
+            assert_eq!(a.round(), f64::MAX - 1.25);
+        }
     }
 }

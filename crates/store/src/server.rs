@@ -12,12 +12,14 @@
 //! What a connection is waited on for follows its state
 //! ([`Conn::interest`]): readable while it reads a request or a stream,
 //! writable while it flushes a reply. A connection waiting on a shard
-//! writer (the committed `seq`, a query's counts, stats, a compaction
-//! ack) leaves the epoll set — a hung-up peer would otherwise report
-//! ready forever — and goes on the worker's short waiting list, ticked
-//! after every wake. The writer rings the worker's doorbell once the
-//! answer is in (once per request, however many shards it spans), and
-//! the acceptor rings it after queueing a new connection.
+//! writer (the committed `seq`, stats, a compaction ack) leaves the
+//! epoll set — a hung-up peer would otherwise report ready forever —
+//! and goes on the worker's short waiting list, ticked after every
+//! wake. The writer rings the worker's doorbell once the answer is in
+//! (once per request, however many shards it spans), and the acceptor
+//! rings it after queueing a new connection. A read query waits on
+//! nothing: the worker answers it in the tick its request completes,
+//! from the sums every writer publishes (see the `writer` module).
 //!
 //! Fairness and backpressure:
 //!
@@ -41,7 +43,7 @@
 use crate::daemon::Shared;
 use crate::frame::WindowRecord;
 use crate::poll::{Doorbell, Event, Interest, Poller};
-use crate::store::{EpochPartial, Partials, COMPACTED_SOURCE};
+use crate::store::{Partials, COMPACTED_SOURCE};
 use crate::wire::{
     encode_epochs, encode_ingest, encode_mix, encode_stats, DaemonStats, IngestReply,
     ShardQueueDepth, MAX_MSG_LEN, OP_COMPACT, OP_DRIFT, OP_EPOCHS, OP_METRICS, OP_QUERY_MIX,
@@ -121,13 +123,14 @@ impl WorkerCtx<'_> {
         }
     }
 
-    /// Fan a control message out to every shard writer (the closure gets
-    /// that shard's reply handle); returns where the answers arrive. The
-    /// replies share one countdown, so the doorbell rings once, after the
-    /// last shard answers. Blocking sends: control
-    /// traffic is rare and a writer never blocks on its consumers, so
-    /// this cannot deadlock — at worst it waits for one queue drain.
-    /// Same inc-before-send protocol as [`WorkerCtx::try_send_shard`].
+    /// Fan a control message (`STATS`, `COMPACT`) out to every shard
+    /// writer (the closure gets that shard's reply handle); returns where
+    /// the answers arrive. The replies share one countdown, so the
+    /// doorbell rings once, after the last shard answers. Blocking sends:
+    /// control traffic is rare and a writer never blocks on its
+    /// consumers, so this cannot deadlock — at worst the whole worker
+    /// waits for one queue drain. Read queries never come here. Same
+    /// inc-before-send protocol as [`WorkerCtx::try_send_shard`].
     fn fan_out<T>(&self, make: impl Fn(Reply<T>) -> WriterMsg) -> Receiver<T> {
         let (tx, rx) = std::sync::mpsc::channel();
         let replies = Reply::fan(&tx, self.bell, self.shards.len());
@@ -196,7 +199,7 @@ impl<T> Gather<T> {
     }
 }
 
-/// What a read query renders once every shard's partials arrive.
+/// A read query, rendered from the published sums.
 enum SnapQuery {
     Mix,
     Top(u32),
@@ -248,7 +251,10 @@ struct CommitState {
     windows_flushed: u32,
 }
 
-/// The per-connection protocol state machine.
+/// The per-connection protocol state machine. A read query has no state
+/// of its own: it is answered from the published sums in the tick its
+/// request completes, so only ingest, `STATS` and `COMPACT` ever wait on
+/// a shard writer.
 enum ConnState<'a> {
     /// Accumulating the `op | len | payload` request message.
     ReadRequest,
@@ -256,8 +262,6 @@ enum ConnState<'a> {
     Ingest(Box<Ingest<'a>>),
     /// Stream complete: submitting results, awaiting the committed seq.
     Commit(Box<CommitState>),
-    /// Read query: awaiting every shard's epoch partials.
-    Gather(Gather<Vec<Arc<EpochPartial>>>, SnapQuery),
     /// `OP_STATS`: awaiting one [`ShardStats`] per shard.
     GatherStats(Gather<ShardStats>),
     /// `OP_COMPACT`: awaiting one ack per shard.
@@ -405,15 +409,21 @@ impl<'a> Conn<'a> {
         self.linger = !self.peer_closed;
     }
 
+    /// Queue a rendered reply: its response message, or an error reply.
+    fn respond_rendered(&mut self, rendered: Rendered) {
+        match rendered {
+            Ok((code, payload)) => self.respond(code, &payload),
+            Err(message) => self.respond_err(&message),
+        }
+    }
+
     /// Drive the connection one step. Returns whether anything moved.
     fn tick(&mut self, ctx: &WorkerCtx<'a>, scratch: &mut [u8]) -> bool {
         match &mut self.state {
             ConnState::ReadRequest => self.tick_read_request(ctx, scratch),
             ConnState::Ingest(_) => self.tick_ingest(ctx, scratch),
             ConnState::Commit(_) => self.tick_commit(ctx),
-            ConnState::Gather(..) | ConnState::GatherStats(_) | ConnState::GatherCompact(_) => {
-                self.tick_gather(ctx)
-            }
+            ConnState::GatherStats(_) | ConnState::GatherCompact(_) => self.tick_gather(ctx),
             ConnState::Flush => self.tick_flush(),
             ConnState::Linger => self.tick_linger(scratch),
             ConnState::Done => false,
@@ -503,15 +513,15 @@ impl<'a> Conn<'a> {
                     self.finish_ingest(ctx);
                 }
             }
-            OP_QUERY_MIX => self.start_gather(ctx, SnapQuery::Mix),
+            OP_QUERY_MIX => self.respond_rendered(render_query(ctx, &SnapQuery::Mix)),
             OP_QUERY_TOP => {
                 let Ok(k) = <[u8; 4]>::try_from(payload) else {
                     self.respond_err("TOP payload must be a u32 k");
                     return;
                 };
-                self.start_gather(ctx, SnapQuery::Top(u32::from_le_bytes(k)));
+                self.respond_rendered(render_query(ctx, &SnapQuery::Top(u32::from_le_bytes(k))));
             }
-            OP_EPOCHS => self.start_gather(ctx, SnapQuery::Epochs),
+            OP_EPOCHS => self.respond_rendered(render_query(ctx, &SnapQuery::Epochs)),
             OP_DRIFT => {
                 let Ok(raw) = <[u8; 12]>::try_from(payload) else {
                     self.respond_err("DRIFT payload must be epoch_a, epoch_b, k (u32 LE each)");
@@ -520,14 +530,12 @@ impl<'a> Conn<'a> {
                 let word = |i: usize| {
                     u32::from_le_bytes(raw[i * 4..i * 4 + 4].try_into().expect("4 bytes"))
                 };
-                self.start_gather(
-                    ctx,
-                    SnapQuery::Drift {
-                        from: word(0),
-                        to: word(1),
-                        k: word(2),
-                    },
-                );
+                let query = SnapQuery::Drift {
+                    from: word(0),
+                    to: word(1),
+                    k: word(2),
+                };
+                self.respond_rendered(render_query(ctx, &query));
             }
             OP_STATS => {
                 let rx = ctx.fan_out(WriterMsg::Stats);
@@ -549,11 +557,6 @@ impl<'a> Conn<'a> {
             }
             other => self.respond_err(&format!("unknown op {other}")),
         }
-    }
-
-    fn start_gather(&mut self, ctx: &WorkerCtx<'a>, query: SnapQuery) {
-        let rx = ctx.fan_out(WriterMsg::ReadSums);
-        self.state = ConnState::Gather(Gather::new(rx, ctx.shards.len()), query);
     }
 
     /// Decode everything buffered in the stream decoder into the online
@@ -807,9 +810,6 @@ impl<'a> Conn<'a> {
     /// every shard has answered, render and queue the reply.
     fn tick_gather(&mut self, ctx: &WorkerCtx<'a>) -> bool {
         let gathered = match &mut self.state {
-            ConnState::Gather(gather, query) => {
-                gather.poll(|partials| render_query(ctx, query, partials))
-            }
             ConnState::GatherStats(gather) => gather.poll(|shards| render_stats(ctx, shards)),
             // The first failure in arrival order, if any shard failed.
             ConnState::GatherCompact(gather) => gather.poll(|acks| {
@@ -820,12 +820,8 @@ impl<'a> Conn<'a> {
         };
         match gathered {
             Gathered::Waiting(progress) => progress,
-            Gathered::Reply(Ok((code, payload))) => {
-                self.respond(code, &payload);
-                true
-            }
-            Gathered::Reply(Err(message)) => {
-                self.respond_err(&message);
+            Gathered::Reply(rendered) => {
+                self.respond_rendered(rendered);
                 true
             }
         }
@@ -872,13 +868,11 @@ impl<'a> Conn<'a> {
     }
 }
 
-/// A read query's reply, from every shard's epoch partials.
-fn render_query(
-    ctx: &WorkerCtx<'_>,
-    query: &SnapQuery,
-    partials: Vec<Vec<Arc<EpochPartial>>>,
-) -> Rendered {
-    let combined = Partials::gather(partials);
+/// A read query's reply, from every shard's published epoch partials:
+/// no writer is asked, so a stalled or busy shard delays no read.
+fn render_query(ctx: &WorkerCtx<'_>, query: &SnapQuery) -> Rendered {
+    let published: Vec<_> = ctx.shared.sums.iter().map(|slot| slot.load()).collect();
+    let combined = Partials::gather(published.iter().flat_map(|p| p.iter().cloned()));
     let analyzer = &ctx.shared.analyzer;
     Ok(match query {
         SnapQuery::Mix => {
@@ -1171,8 +1165,12 @@ pub(crate) fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::StoreIdentity;
+    use crate::store::ProfileStore;
+    use crate::wire::RESP_EPOCHS;
+    use crate::writer::PublishedSums;
     use hbbp_core::{Analyzer, HybridRule, SamplingPeriods, Window};
-    use hbbp_program::{ImageView, MnemonicMix};
+    use hbbp_program::{Bbec, ImageView, MnemonicMix};
     use hbbp_workloads::{phased_client, Scale};
     use std::net::TcpListener;
     use std::sync::atomic::AtomicBool;
@@ -1213,6 +1211,7 @@ mod tests {
             addr,
             shutdown: AtomicBool::new(false),
             metrics: metrics.clone(),
+            sums: Vec::new(),
         };
         // One shard, one queue slot, pre-stuffed: every flush sees Full
         // until the test drains the receiver.
@@ -1272,5 +1271,101 @@ mod tests {
             WriterMsg::Windows(batch) => assert_eq!(batch.len(), WINDOW_HIGH_WATER),
             _ => panic!("expected the window batch"),
         }
+    }
+
+    /// A read query never waits on a shard writer: with the only shard's
+    /// queue full and nobody draining it, `QUERY_MIX` and `EPOCHS` still
+    /// answer, from the sums the writer published. A worker that asked
+    /// the writer would block on the full queue, and the client's read
+    /// would time out instead.
+    #[test]
+    fn reads_answer_while_the_shard_writer_is_stalled() {
+        let w = phased_client(Scale::Tiny, 0);
+        let analyzer = Analyzer::from_images(&w.images(ImageView::Disk), w.layout().symbols())
+            .expect("discovery");
+        let dir = std::env::temp_dir().join(format!("hbbp-server-unit-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join("stalled.hbbp");
+        let _ = std::fs::remove_file(&path);
+        let identity = StoreIdentity::of_workload(&w, analyzer.map());
+        let mut store = ProfileStore::open_with_identity(&path, identity).expect("store");
+        let block = analyzer.map().blocks()[0].start;
+        let counts: Bbec = [(block, 123.0)].into_iter().collect();
+        store.append_counts(7, 10, 5, counts).expect("append");
+        let mix = analyzer.mix(&store.partials().aggregate());
+        let want_mix = encode_mix(&mix.iter().collect::<Vec<_>>());
+        assert!(
+            mix.iter().next().is_some(),
+            "the store's mix must not be empty"
+        );
+        let epochs = store.partials().epoch_stats();
+        assert_eq!(
+            (
+                epochs[0].counts_frames,
+                epochs[0].ebs_samples,
+                epochs[0].lbr_samples
+            ),
+            (1, 10, 5)
+        );
+
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let shared = Arc::new(Shared {
+            analyzer,
+            periods: SamplingPeriods {
+                ebs: 1009,
+                lbr: 211,
+            },
+            rule: HybridRule::paper_default(),
+            window: None,
+            addr,
+            shutdown: AtomicBool::new(false),
+            metrics: Metrics::disabled(),
+            sums: vec![Arc::new(PublishedSums::new(&store))],
+        });
+        // One shard, one queue slot, pre-stuffed, and no writer draining
+        // it.
+        let (tx, stalled) = std::sync::mpsc::sync_channel(1);
+        tx.send(WriterMsg::Windows(Vec::new()))
+            .expect("stuff queue");
+        let poller = Poller::new().expect("epoll");
+        let bell = Arc::new(Doorbell::new().expect("eventfd"));
+        poller
+            .add(&*bell, BELL_TOKEN, Interest::Readable)
+            .expect("watch the doorbell");
+        let (inbox_tx, inbox) = std::sync::mpsc::channel();
+        let worker = {
+            let shared = Arc::clone(&shared);
+            let bell = Arc::clone(&bell);
+            std::thread::spawn(move || worker_loop(shared, inbox, poller, bell, vec![tx]))
+        };
+
+        let ask = |op: u8| -> (u8, Vec<u8>) {
+            let mut client = TcpStream::connect(addr).expect("connect");
+            let (stream, _) = listener.accept().expect("accept");
+            stream.set_nonblocking(true).expect("nonblocking");
+            inbox_tx.send(stream).expect("worker inbox");
+            bell.ring();
+            client
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("read timeout");
+            client.write_all(&[op, 0, 0, 0, 0]).expect("request");
+            let mut header = [0u8; 5];
+            client
+                .read_exact(&mut header)
+                .unwrap_or_else(|e| panic!("op {op}: no reply while the writer stalls: {e}"));
+            let len = u32::from_le_bytes(header[1..5].try_into().expect("4 bytes"));
+            let mut payload = vec![0u8; len as usize];
+            client.read_exact(&mut payload).expect("payload");
+            (header[0], payload)
+        };
+        assert_eq!(ask(OP_QUERY_MIX), (RESP_MIX, want_mix));
+        assert_eq!(ask(OP_EPOCHS), (RESP_EPOCHS, encode_epochs(&epochs)));
+
+        drop(inbox_tx);
+        bell.ring();
+        worker.join().expect("worker exits");
+        drop(stalled);
+        let _ = std::fs::remove_file(&path);
     }
 }

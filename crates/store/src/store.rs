@@ -82,6 +82,7 @@ use crate::frame::{
 };
 use hbbp_program::{Bbec, BlockMap};
 use hbbp_workloads::Workload;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -253,39 +254,55 @@ impl Snapshot {
     }
 
     /// The exact partials of the counts frames of the epochs `keep`
-    /// accepts, summed as a store sums them as they arrive.
+    /// accepts, summed as a store sums them as they arrive, each epoch
+    /// left open: its aggregate rounds superaccumulators, never a round
+    /// trip through expansions.
     fn partials(&self, keep: impl Fn(u32) -> bool) -> Partials {
-        let mut frames: Vec<(u32, &CountsRecord)> = self
-            .counts_epochs
-            .iter()
-            .copied()
-            .zip(&self.counts)
-            .filter(|(epoch, _)| keep(*epoch))
-            .collect();
-        frames.sort_by_key(|(epoch, _)| *epoch);
-        let mut sums = RunningSums::default();
-        for (epoch, rec) in frames {
-            sums.add(epoch, rec);
+        let mut epochs: BTreeMap<u32, RunningSums> = BTreeMap::new();
+        for (&epoch, rec) in self.counts_epochs.iter().zip(&self.counts) {
+            if keep(epoch) {
+                epochs.entry(epoch).or_default().add(epoch, rec);
+            }
         }
-        Partials::gather([sums.partials()])
+        Partials::gather(epochs.values().flat_map(RunningSums::partials))
     }
 }
 
-/// One epoch's exact partial: its accounting and each block's sum as an
-/// expansion. What a shard writer answers a read query with, one per
-/// epoch that has counts frames.
-#[derive(Debug, Clone, PartialEq)]
+/// One epoch's exact partial: its accounting and each block's sum. What
+/// a shard writer publishes for read queries, one per epoch that has
+/// counts frames.
+#[derive(Debug)]
 pub(crate) struct EpochPartial {
     /// The epoch's frame and sample accounting.
     pub stats: EpochStats,
     /// Each block's exact sum.
-    pub sums: Expansions,
+    pub sums: EpochSums,
+}
+
+/// An epoch's per-block exact sums, in the form its store keeps them.
+#[derive(Debug)]
+pub(crate) enum EpochSums {
+    /// A sealed epoch: each block's canonical expansion.
+    Sealed(Expansions),
+    /// The epoch still taking frames: each block's superaccumulator.
+    Open(BlockSums),
+}
+
+impl EpochSums {
+    /// Each block's canonical expansion.
+    fn expansions(&self) -> Cow<'_, Expansions> {
+        match self {
+            EpochSums::Sealed(expansions) => Cow::Borrowed(expansions),
+            EpochSums::Open(sums) => Cow::Owned(sums.expansions()),
+        }
+    }
 }
 
 /// Epoch partials combined, from any number of shards: the one read
 /// surface for aggregates and accounting. A daemon's read queries gather
-/// every writer's partials; an open store hands out its own through
-/// [`ProfileStore::partials`]; a [`Snapshot`] sums its frames into one.
+/// every writer's published partials; an open store hands out its own
+/// through [`ProfileStore::partials`]; a [`Snapshot`] sums its frames
+/// into one; [`Partials::combine`] adds several stores' together.
 #[derive(Debug)]
 pub struct Partials {
     /// Ascending by epoch; each epoch's partials from every shard that
@@ -295,12 +312,22 @@ pub struct Partials {
 
 impl Partials {
     /// Gather shards' partials, in any order.
-    pub(crate) fn gather(shards: impl IntoIterator<Item = Vec<Arc<EpochPartial>>>) -> Partials {
+    pub(crate) fn gather(partials: impl IntoIterator<Item = Arc<EpochPartial>>) -> Partials {
         let mut epochs: BTreeMap<u32, Vec<Arc<EpochPartial>>> = BTreeMap::new();
-        for partial in shards.into_iter().flatten() {
+        for partial in partials {
             epochs.entry(partial.stats.epoch).or_default().push(partial);
         }
         Partials { epochs }
+    }
+
+    /// Several stores' partials as one — say, a daemon's partitions read
+    /// offline. Exact sums do not depend on order, so neither does the
+    /// result.
+    pub fn combine(all: impl IntoIterator<Item = Partials>) -> Partials {
+        Partials::gather(
+            all.into_iter()
+                .flat_map(|p| p.epochs.into_values().flatten()),
+        )
     }
 
     /// Per-epoch accounting summed over shards, ascending by epoch: one
@@ -331,7 +358,10 @@ impl Partials {
     pub fn epoch_aggregate(&self, epoch: u32) -> Bbec {
         let mut sums = BlockSums::default();
         for part in self.epochs.get(&epoch).into_iter().flatten() {
-            sums.add_expansions(&part.sums);
+            match &part.sums {
+                EpochSums::Sealed(expansions) => sums.add_expansions(expansions),
+                EpochSums::Open(open) => sums.add_sums(open),
+            }
         }
         sums.round()
     }
@@ -350,7 +380,7 @@ impl Partials {
 /// A store's running sums: one exact partial per epoch with counts
 /// frames. Frames only ever land in the current epoch, so every epoch
 /// but the newest is sealed as expansions; the newest adds into a
-/// superaccumulator per block.
+/// superaccumulator per block, and is handed out in that form.
 #[derive(Debug, Default)]
 struct RunningSums {
     sealed: Vec<Arc<EpochPartial>>,
@@ -375,24 +405,24 @@ impl RunningSums {
 
     /// Seal the open epoch into its expansions.
     fn seal(&mut self) {
-        self.sealed.extend(self.open_partial());
-        self.open = None;
+        if let Some((stats, sums)) = self.open.take() {
+            self.sealed.push(Arc::new(EpochPartial {
+                stats,
+                sums: EpochSums::Sealed(sums.expansions()),
+            }));
+        }
     }
 
-    /// The open epoch's partial, if any.
-    fn open_partial(&self) -> Option<Arc<EpochPartial>> {
-        self.open.as_ref().map(|(stats, sums)| {
-            Arc::new(EpochPartial {
-                stats: *stats,
-                sums: sums.expansions(),
-            })
-        })
-    }
-
-    /// Every epoch's partial, ascending by epoch.
+    /// Every epoch's partial, ascending by epoch: the sealed ones shared,
+    /// the open one a copy of its superaccumulators.
     fn partials(&self) -> Vec<Arc<EpochPartial>> {
         let mut partials = self.sealed.clone();
-        partials.extend(self.open_partial());
+        partials.extend(self.open.as_ref().map(|(stats, sums)| {
+            Arc::new(EpochPartial {
+                stats: *stats,
+                sums: EpochSums::Open(sums.clone()),
+            })
+        }));
         partials
     }
 }
@@ -1029,7 +1059,7 @@ impl ProfileStore {
 
     /// Every epoch's exact partial, ascending by epoch — everything a
     /// read query needs from this store. Sealed epochs are shared, not
-    /// copied.
+    /// copied; the open epoch is a copy of its superaccumulators.
     pub(crate) fn epoch_partials(&self) -> Vec<Arc<EpochPartial>> {
         self.sums.partials()
     }
@@ -1038,7 +1068,7 @@ impl ProfileStore {
     /// per-epoch accounting, answered from memory without reading the
     /// log.
     pub fn partials(&self) -> Partials {
-        Partials::gather([self.epoch_partials()])
+        Partials::gather(self.epoch_partials())
     }
 
     /// Distinct source ids across the counts frames, ascending.
@@ -1174,9 +1204,13 @@ impl ProfileStore {
             .checked_add(1)
             .ok_or(StoreError::SequenceOverflow(COMPACTED_SOURCE))?;
 
-        let partials = self.epoch_partials();
+        let held = self.epoch_partials();
+        let partials: Vec<(EpochStats, Cow<'_, Expansions>)> = held
+            .iter()
+            .map(|p| (p.stats, p.sums.expansions()))
+            .collect();
         let first_fold = self.next_seq.get(&COMPACTED_SOURCE).copied().unwrap_or(0);
-        let next_fold = u32::try_from(partials.iter().map(|p| terms(p)).sum::<usize>())
+        let next_fold = u32::try_from(partials.iter().map(|(_, sums)| terms(sums)).sum::<usize>())
             .ok()
             .and_then(|n| first_fold.checked_add(n))
             .ok_or(StoreError::SequenceOverflow(COMPACTED_SOURCE))?;
@@ -1250,24 +1284,24 @@ impl ProfileStore {
 /// How many frames [`ProfileStore::compact`] writes for an epoch: one
 /// per term of its longest expansion, and one for an epoch whose frames
 /// carry no blocks, which keeps the epoch and its sample totals.
-fn terms(partial: &EpochPartial) -> usize {
-    partial.sums.depth().max(1)
+fn terms(sums: &Expansions) -> usize {
+    sums.depth().max(1)
 }
 
 /// The frames [`ProfileStore::compact`] writes for `partials`, with their
 /// epochs: frame *i* of an epoch holds term *i* of each block's
 /// expansion, and its first frame the epoch's sample totals. Sequence
 /// numbers count up from `first_seq`.
-fn term_frames(
-    partials: &[Arc<EpochPartial>],
+fn term_frames<'a>(
+    partials: &'a [(EpochStats, Cow<'_, Expansions>)],
     first_seq: u32,
-) -> impl Iterator<Item = (u32, CountsRecord)> + '_ {
+) -> impl Iterator<Item = (u32, CountsRecord)> + 'a {
     let frames = partials
         .iter()
-        .flat_map(|p| (0..terms(p)).map(move |i| (p, i)));
-    frames.zip(first_seq..).map(|((p, i), seq)| {
+        .flat_map(|(stats, sums)| (0..terms(sums)).map(move |i| (stats, sums, i)));
+    frames.zip(first_seq..).map(|((stats, sums, i), seq)| {
         let (ebs_samples, lbr_samples) = match i {
-            0 => (p.stats.ebs_samples, p.stats.lbr_samples),
+            0 => (stats.ebs_samples, stats.lbr_samples),
             _ => (0, 0),
         };
         let rec = CountsRecord {
@@ -1275,9 +1309,9 @@ fn term_frames(
             seq,
             ebs_samples,
             lbr_samples,
-            bbec: p.sums.term(i),
+            bbec: sums.term(i),
         };
-        (p.stats.epoch, rec)
+        (stats.epoch, rec)
     })
 }
 

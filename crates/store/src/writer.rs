@@ -10,18 +10,22 @@
 //! client that has its `INGESTED` reply knows the counts frame is in
 //! the log.
 //!
-//! Read queries (`QUERY_MIX`, `QUERY_TOP`, `EPOCHS`, `DRIFT`) are
-//! serialized through the same queue, which gives them read-your-writes
-//! consistency per shard for free: the writer commits everything
-//! buffered before answering. The answer is the shard's running exact
-//! sums — per epoch, its accounting and each block's sum as an
-//! expansion — so its size and the gathering worker's cost depend on
-//! epochs and blocks, never on the number of frames. Sealed epochs'
-//! partials are shared, not copied.
+//! Read queries (`QUERY_MIX`, `QUERY_TOP`, `EPOCHS`, `DRIFT`) never
+//! reach the queue. Each writer **publishes** its shard's running exact
+//! sums in a [`PublishedSums`] slot — per epoch, its accounting and each
+//! block's sum: sealed epochs as shared expansions, the open epoch as a
+//! copy of its superaccumulators — and a worker answers a read from the
+//! slots alone, so its cost depends on epochs and blocks, never on the
+//! number of frames, and never waits on a writer. A writer publishes
+//! only when its sums changed (a commit that covers counts frames, a
+//! compaction), and always before it releases the replies of that
+//! commit: a client that has its `INGESTED` reply reads its own write.
 //!
-//! Every answer goes back through a [`Reply`], which rings the asking
-//! worker's doorbell once the answer is in its channel — once per
-//! request, even when the request was fanned out to every shard.
+//! What does go through the queue — an ingest's committed `seq`,
+//! `STATS`, a `COMPACT` ack — is answered through a [`Reply`], which
+//! rings the asking worker's doorbell once the answer is in its
+//! channel — once per request, even when the request was fanned out to
+//! every shard.
 //!
 //! Shutdown: the writer exits when every sender is gone (workers drop
 //! their clones as they drain), after committing its tail — the
@@ -34,7 +38,7 @@ use hbbp_obs::{Counter, Gauge, Histogram, Metrics};
 use hbbp_program::Bbec;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Where a writer's answer goes: a channel back to the asking worker,
@@ -85,6 +89,31 @@ impl<T> Drop for Reply<T> {
     }
 }
 
+/// One shard's running sums as its writer last published them: every
+/// epoch's exact partial, ascending by epoch.
+pub(crate) struct PublishedSums(Mutex<Arc<[Arc<EpochPartial>]>>);
+
+impl PublishedSums {
+    /// The sums of a freshly opened store.
+    pub(crate) fn new(store: &ProfileStore) -> PublishedSums {
+        PublishedSums(Mutex::new(store.epoch_partials().into()))
+    }
+
+    /// Replace the published sums with the store's current ones. Each
+    /// update is one pointer store, so a guard recovered from a poisoned
+    /// lock still holds a whole publication.
+    fn publish(&self, store: &ProfileStore) {
+        let sums: Arc<[Arc<EpochPartial>]> = store.epoch_partials().into();
+        *self.0.lock().unwrap_or_else(PoisonError::into_inner) = sums;
+    }
+
+    /// The sums last published; the lock is held for one reference-count
+    /// bump.
+    pub(crate) fn load(&self) -> Arc<[Arc<EpochPartial>]> {
+        Arc::clone(&self.0.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+}
+
 /// Messages a shard writer consumes, in arrival order.
 pub(crate) enum WriterMsg {
     /// Closed timeline windows from an in-flight stream (fire and
@@ -104,11 +133,6 @@ pub(crate) enum WriterMsg {
         /// Where the committed `seq` (or error) goes.
         reply: Reply<Result<u32, String>>,
     },
-    /// The shard's exact partial of every epoch, ascending by epoch, for
-    /// a read query (pending appends committed first). Exact sums do not
-    /// depend on order, so the gathering worker adds the shards' answers
-    /// as they arrive.
-    ReadSums(Reply<Vec<Arc<EpochPartial>>>),
     /// Shard statistics (pending appends committed first).
     Stats(Reply<ShardStats>),
     /// Compact the shard's log (pending appends absorbed by the rewrite).
@@ -130,18 +154,23 @@ pub(crate) struct ShardStats {
 const MAX_BATCH: usize = 512;
 
 /// The shard writer: drain the queue, apply appends deferred, group
-/// commit, release replies. Runs until every sender is dropped.
+/// commit, publish the sums, release replies. Runs until every sender is
+/// dropped.
 pub(crate) fn writer_loop(
-    mut store: ProfileStore,
+    store: ProfileStore,
     rx: Receiver<WriterMsg>,
+    published: Arc<PublishedSums>,
     metrics: Metrics,
     shard: usize,
 ) {
-    // Ingest replies withheld until the commit that makes them true.
-    let mut uncommitted: Vec<(Reply<Result<u32, String>>, u32)> = Vec::new();
+    let mut w = Writer {
+        store,
+        published,
+        metrics,
+        uncommitted: Vec::new(),
+        dirty: false,
+    };
     let mut batch: Vec<WriterMsg> = Vec::new();
-    // Deferred appends are pending (the commit will actually write).
-    let mut dirty = false;
     while let Ok(first) = rx.recv() {
         batch.push(first);
         while batch.len() < MAX_BATCH {
@@ -153,18 +182,20 @@ pub(crate) fn writer_loop(
         // The sending worker raised the queue-depth gauge per message;
         // lower it as the batch leaves the queue.
         for _ in 0..batch.len() {
-            metrics.gauge_shard_dec(Gauge::WriterQueueDepth, shard);
+            w.metrics.gauge_shard_dec(Gauge::WriterQueueDepth, shard);
         }
-        metrics.observe(Histogram::WriterBatchMessages, batch.len() as u64);
+        w.metrics
+            .observe(Histogram::WriterBatchMessages, batch.len() as u64);
         for msg in batch.drain(..) {
             match msg {
                 WriterMsg::Windows(records) => {
-                    metrics.add(Counter::WriterWindowsAppended, records.len() as u64);
-                    dirty = true;
-                    for w in records {
+                    w.metrics
+                        .add(Counter::WriterWindowsAppended, records.len() as u64);
+                    w.dirty = true;
+                    for rec in records {
                         // Cannot fail: the store was opened with an
                         // identity; I/O is deferred to the commit.
-                        let _ = store.append_window_deferred(w);
+                        let _ = w.store.append_window_deferred(rec);
                     }
                 }
                 WriterMsg::Counts {
@@ -173,70 +204,89 @@ pub(crate) fn writer_loop(
                     lbr_samples,
                     bbec,
                     reply,
-                } => match store.append_counts_deferred(source, ebs_samples, lbr_samples, bbec) {
+                } => match w
+                    .store
+                    .append_counts_deferred(source, ebs_samples, lbr_samples, bbec)
+                {
                     Ok(seq) => {
-                        metrics.inc(Counter::WriterCountsAppended);
-                        dirty = true;
-                        uncommitted.push((reply, seq));
+                        w.metrics.inc(Counter::WriterCountsAppended);
+                        w.dirty = true;
+                        w.uncommitted.push((reply, seq));
                     }
                     Err(e) => reply.send(Err(e.to_string())),
                 },
-                WriterMsg::ReadSums(reply) => {
-                    commit(&mut store, &mut uncommitted, &metrics, &mut dirty);
-                    reply.send(store.epoch_partials());
-                }
                 WriterMsg::Stats(reply) => {
-                    commit(&mut store, &mut uncommitted, &metrics, &mut dirty);
+                    w.commit();
                     reply.send(ShardStats {
-                        counts_frames: store.counts_frames(),
-                        window_frames: store.window_frames(),
-                        bytes: store.file_bytes(),
-                        sources: store.sources(),
+                        counts_frames: w.store.counts_frames(),
+                        window_frames: w.store.window_frames(),
+                        bytes: w.store.file_bytes(),
+                        sources: w.store.sources(),
                     });
                 }
                 WriterMsg::Compact(reply) => {
-                    commit(&mut store, &mut uncommitted, &metrics, &mut dirty);
-                    reply.send(store.compact().map_err(|e| e.to_string()));
+                    w.commit();
+                    let result = w.store.compact().map_err(|e| e.to_string());
+                    w.published.publish(&w.store);
+                    reply.send(result);
                 }
             }
         }
         // Group commit: one file write for every append in the batch,
         // then release the ingest replies it covers.
-        commit(&mut store, &mut uncommitted, &metrics, &mut dirty);
+        w.commit();
     }
     // Drain on shutdown: all senders gone, every queued message already
     // consumed by the loop above — just make sure the tail is written.
-    let _ = store.commit();
+    let _ = w.store.commit();
 }
 
-fn commit(
-    store: &mut ProfileStore,
-    uncommitted: &mut Vec<(Reply<Result<u32, String>>, u32)>,
-    metrics: &Metrics,
-    dirty: &mut bool,
-) {
-    let result = if *dirty {
-        *dirty = false;
-        let bytes_before = store.file_bytes();
-        let started = Instant::now();
-        let result = store.commit().map_err(|e| e.to_string());
-        metrics.inc(Counter::WriterCommits);
-        metrics.observe(
-            Histogram::WriterCommitUs,
-            started.elapsed().as_micros() as u64,
-        );
-        metrics.add(
-            Counter::WriterBytesCommitted,
-            store.file_bytes().saturating_sub(bytes_before),
-        );
-        result
-    } else {
-        // Nothing deferred: the commit is a no-op and not worth a
-        // latency observation.
-        store.commit().map_err(|e| e.to_string())
-    };
-    for (reply, seq) in uncommitted.drain(..) {
-        reply.send(result.clone().map(|()| seq));
+/// A shard writer's state between messages.
+struct Writer {
+    store: ProfileStore,
+    published: Arc<PublishedSums>,
+    metrics: Metrics,
+    /// Ingest replies withheld until the commit that makes them true.
+    uncommitted: Vec<(Reply<Result<u32, String>>, u32)>,
+    /// Deferred appends are pending (the commit will actually write).
+    dirty: bool,
+}
+
+impl Writer {
+    /// Write the deferred appends; when they include counts frames,
+    /// publish the sums that now hold them, then release those frames'
+    /// replies.
+    fn commit(&mut self) {
+        let store = &mut self.store;
+        let result = if self.dirty {
+            self.dirty = false;
+            let bytes_before = store.file_bytes();
+            let started = Instant::now();
+            let result = store.commit().map_err(|e| e.to_string());
+            self.metrics.inc(Counter::WriterCommits);
+            self.metrics.observe(
+                Histogram::WriterCommitUs,
+                started.elapsed().as_micros() as u64,
+            );
+            self.metrics.add(
+                Counter::WriterBytesCommitted,
+                store.file_bytes().saturating_sub(bytes_before),
+            );
+            result
+        } else {
+            // Nothing deferred: the commit is a no-op and not worth a
+            // latency observation.
+            store.commit().map_err(|e| e.to_string())
+        };
+        // Every counts frame appended leaves a reply here, so the sums
+        // changed exactly when one is waiting; a commit of window frames
+        // alone publishes nothing.
+        if !self.uncommitted.is_empty() {
+            self.published.publish(store);
+        }
+        for (reply, seq) in self.uncommitted.drain(..) {
+            reply.send(result.clone().map(|()| seq));
+        }
     }
 }
 

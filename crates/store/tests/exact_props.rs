@@ -8,11 +8,13 @@
 //! - any permutation of the frames, split across one to four stores,
 //!   each compacted or not, gives the same bits for every epoch and for
 //!   the global aggregate;
-//! - a single-frame epoch yields each count `c` as `0.0 + c`.
+//! - a single-frame epoch yields each count `c` as `0.0 + c`;
+//! - live stores' partials combine exactly: open epochs superaccumulator
+//!   by superaccumulator, beside sealed ones, as the oracle sums.
 
 use hbbp_oracle::exact::exact_sum;
 use hbbp_program::{Bbec, Ring};
-use hbbp_store::{CountsRecord, ModuleSpan, ProfileStore, Snapshot, StoreIdentity};
+use hbbp_store::{CountsRecord, ModuleSpan, Partials, ProfileStore, Snapshot, StoreIdentity};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -280,5 +282,52 @@ proptest! {
             prop_assert_eq!(got.get(addr).to_bits(), want, "{:#x}", addr);
             prop_assert_eq!(snap.aggregate().get(addr).to_bits(), want);
         }
+    }
+
+    /// One block's values split across one to four live stores and
+    /// combined: each store's epoch 0 is open (its superaccumulators
+    /// merge chunk-wise with the others'), or — for a store that
+    /// compacted and then took a frame in epoch 1 — sealed as
+    /// expansions. Epoch 0 and the global aggregate are the oracle's.
+    #[test]
+    fn live_partials_combine_like_the_oracle(
+        specs in arb_specs(12),
+        split in proptest::collection::vec(0usize..4, 24),
+        stores in 1usize..5,
+        sealed in proptest::collection::vec(any::<bool>(), 4),
+    ) {
+        let values = values(&specs);
+        let epoch_0 = exact_sum(&values);
+        let mut parts = Vec::new();
+        for (s, &seal) in sealed.iter().enumerate().take(stores) {
+            let path = tmp();
+            let mut store = ProfileStore::open_with_identity(&path, identity()).expect("create");
+            for (i, &v) in values.iter().enumerate() {
+                if split[i] % stores == s {
+                    store.append_counts_deferred(i as u32, 1, 2, one_block(v)).expect("append");
+                }
+            }
+            if seal {
+                store.compact().expect("compact");
+                store.append_counts_deferred(99, 1, 2, one_block(0.0)).expect("epoch 1");
+            }
+            parts.push(store.partials());
+            std::fs::remove_file(&path).ok();
+        }
+        let mut epoch_sums = vec![epoch_0];
+        if sealed.iter().take(stores).any(|&s| s) {
+            epoch_sums.push(0.0);
+        }
+        let combined = Partials::combine(parts);
+        prop_assert_eq!(
+            combined.epoch_aggregate(0).get(BLOCK).to_bits(),
+            epoch_0.to_bits(),
+            "{:?}",
+            values
+        );
+        prop_assert_eq!(
+            combined.aggregate().get(BLOCK).to_bits(),
+            exact_sum(&epoch_sums).to_bits()
+        );
     }
 }
